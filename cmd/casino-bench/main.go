@@ -167,7 +167,6 @@ func main() {
 		OS:     runtime.GOOS, Arch: runtime.GOARCH,
 		CPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0), Workers: *workers,
 		Ops: o.Ops, Warmup: o.Warmup, Seed: o.Seed,
-		FastForward: os.Getenv("CASINO_NO_FASTFORWARD") == "",
 	}
 	if *abFlag {
 		if *perfOut == "" {
@@ -231,20 +230,19 @@ type perfEntry struct {
 // simulated clock, not host work. v2 adds the execution environment
 // (GOMAXPROCS, worker/shard count) and the optional sampled-vs-full A/B.
 type perfSummary struct {
-	Schema      string        `json:"schema"`
-	Go          string        `json:"go"`
-	OS          string        `json:"os"`
-	Arch        string        `json:"arch"`
-	CPUs        int           `json:"cpus"`
-	GoMaxProcs  int           `json:"gomaxprocs"`
-	Workers     int           `json:"workers"` // 0 = one per CPU (RunCells default)
-	Ops         int           `json:"ops"`
-	Warmup      int           `json:"warmup"`
-	Seed        int64         `json:"seed"`
-	FastForward bool          `json:"fast_forward"`
-	Figures     []perfEntry   `json:"figures,omitempty"`
-	Total       perfEntry     `json:"total"`
-	Sampling    *perfSampling `json:"sampling,omitempty"`
+	Schema     string        `json:"schema"`
+	Go         string        `json:"go"`
+	OS         string        `json:"os"`
+	Arch       string        `json:"arch"`
+	CPUs       int           `json:"cpus"`
+	GoMaxProcs int           `json:"gomaxprocs"`
+	Workers    int           `json:"workers"` // 0 = one per CPU (RunCells default)
+	Ops        int           `json:"ops"`
+	Warmup     int           `json:"warmup"`
+	Seed       int64         `json:"seed"`
+	Figures    []perfEntry   `json:"figures,omitempty"`
+	Total      perfEntry     `json:"total"`
+	Sampling   *perfSampling `json:"sampling,omitempty"`
 }
 
 // perfABFigure is one figure's accuracy record in a sampled-vs-full A/B:

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"casino/internal/eventq"
-	"casino/internal/isa"
-	"casino/internal/regfile"
-)
-
-// noEvent mirrors lsu.NoEvent: no progress through the passage of time.
-const noEvent = int64(1) << 62
+import "casino/internal/eventq"
 
 // NextWake returns the earliest cycle >= now at which the core might make
 // progress, driving the event-driven clock. Two O(1) pre-checks catch the
@@ -15,8 +8,8 @@ const noEvent = int64(1) << 62
 // into the first S-IQ and fetch — and everything else comes from the shared
 // queue, on which every stored future cycle (completion times, stall
 // expiries, busy-until slots, the remote injector's schedule) was registered
-// when it was stored. Unlike the retired polled scan this never walks the
-// queues; FastForward's embedded cycle is the progress check.
+// when it was stored. It never walks the queues; FastForward's embedded
+// cycle is the progress check.
 func (c *Core) NextWake() int64 {
 	now := c.now
 	if c.fe.BufLen() > 0 && c.queues[0].len() < c.queues[0].cap() {
@@ -32,8 +25,9 @@ func (c *Core) NextWake() int64 {
 func (c *Core) WakeStats() eventq.Stats { return c.wq.Stats() }
 
 // ProgressSignature folds the fast-forward progress signature into one
-// value; the sim package's property tests use it to detect, from outside,
-// whether a cycle changed observable state.
+// value. The event-driven driver consults the wakeup queue only after a
+// cycle that left it unchanged, and the sim package's property tests use it
+// to detect, from outside, whether a cycle changed observable state.
 func (c *Core) ProgressSignature() uint64 {
 	// FNV-1a chained by hand: this runs on every commit-free cycle, so it
 	// must not materialize an array (stack copies) per call.
@@ -54,238 +48,6 @@ func (c *Core) ProgressSignature() uint64 {
 	h = (h ^ uint64(s.dbUsed)) * p
 	h = (h ^ uint64(s.buf)) * p
 	return h
-}
-
-// NextEvent returns the earliest cycle >= now at which Cycle() could change
-// observable state. The event-driven driver no longer calls it — NextWake
-// replaced it on the hot path — but it remains the independent oracle the
-// property tests check the registration contract against: a registered
-// wakeup must never be later than the first event this scan derives from
-// pipeline state. The probe mirrors the schedulers read-only: every
-// readiness check goes through Peek* accessors so probing a stalled core
-// never perturbs the activity counts the energy model bills, and every
-// readiness source reports its *individual* arrival time — CASINO's
-// scoreboard checks charge per source with a short-circuit return, so the
-// charge pattern of an idle cycle flips the moment any single source
-// becomes ready, and the jump must stop there even if the instruction as a
-// whole stays blocked. Conditions blocked on another instruction's issue
-// (an unissued producer, a saturated ProducerCount, a full downstream
-// structure) contribute no time: that issue/commit/retire is itself a
-// tracked event that must come first, so the driver re-probes then.
-func (c *Core) NextEvent() int64 {
-	now := c.now
-	next := noEvent
-	add := func(t int64) {
-		if t > now && t < next {
-			next = t
-		}
-	}
-
-	// Synthetic remote-invalidation injector (fires on its own schedule).
-	if r := c.remote; r != nil {
-		if now >= r.next {
-			return now
-		}
-		add(r.next)
-	}
-
-	// Store retirement from the SB portion of the unified SQ.
-	if t := c.sq.RetireEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-
-	// Commit from the ROB head. An unissued head sits in some queue and is
-	// covered by the scheduler probes below.
-	if c.rob.len() > 0 {
-		e := c.robAt(0)
-		if e.issued {
-			if e.done <= now {
-				return now
-			}
-			add(e.done)
-		}
-	}
-
-	// Final in-order IQ: strictly the head.
-	last := len(c.queues) - 1
-	if q := &c.queues[last]; q.len() > 0 {
-		e := q.at(0)
-		if c.iqReadyProbe(e, now, add) && c.issueResourcesProbe(e, false) {
-			if c.fus.CanIssue(e.op.Class, now) {
-				return now
-			}
-			add(c.fus.NextFree(e.op.Class, now))
-		}
-		// Not ready: source arrivals were added above. Resource-blocked:
-		// drains via commit / store retirement, both covered.
-	}
-
-	// Cascaded S-IQs: each examines up to WS window entries per cycle, and
-	// on a cycle with no issues or passes the examined set is frozen, so
-	// the probe walks positions 0..WS-1 directly.
-	for qi := 0; qi < last; qi++ {
-		q := &c.queues[qi]
-		nq := &c.queues[qi+1]
-		n := q.len()
-		if n > c.cfg.WS {
-			n = c.cfg.WS
-		}
-		for pos := 0; pos < n; pos++ {
-			e := q.at(pos)
-			if c.siqReadyProbe(qi, e, now, add) {
-				if c.exitResourcesOK(qi, e, pos) && c.issueResourcesProbe(e, true) {
-					if c.fus.CanIssue(e.op.Class, now) {
-						return now
-					}
-					add(c.fus.NextFree(e.op.Class, now))
-				}
-				continue
-			}
-			// A non-ready head passes to the next queue when it can.
-			if pos == 0 && c.cfg.SO > 0 && nq.len() < nq.cap() &&
-				c.exitResourcesOK(qi, e, 0) && c.passResourcesProbe(qi, e) {
-				return now
-			}
-		}
-	}
-
-	// Dispatch and fetch.
-	if c.fe.BufLen() > 0 && c.queues[0].len() < c.queues[0].cap() {
-		return now
-	}
-	if t := c.fe.NextFetchEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-	return next
-}
-
-// siqReadyProbe mirrors siqReady without its RAT/scoreboard charges,
-// feeding each source's future arrival time to add. It stops at the first
-// blocking source exactly as siqReady short-circuits, because that source's
-// arrival is when the cycle's charge pattern changes.
-func (c *Core) siqReadyProbe(qi int, e *opEntry, now int64, add func(int64)) bool {
-	if c.cfg.Disambig == DisambigAGIOrder && e.op.Class.IsMem() {
-		return false
-	}
-	if qi == 0 && !e.preAlloc {
-		for _, s := range [...]isa.Reg{e.op.Src1, e.op.Src2} {
-			if !s.Valid() {
-				continue
-			}
-			if c.cfg.Renaming == RenameConditional {
-				lw := c.lastWriter[s]
-				switch {
-				case lw == nil:
-					// Producer committed; value architectural.
-				case lw.op.Seq < e.op.Seq:
-					if !lw.issued {
-						return false // blocked on the producer's issue
-					}
-					if lw.done > now {
-						add(lw.done)
-						return false
-					}
-				default:
-					p := c.rf.PeekMapping(s)
-					if c.rf.Producers(p) > 0 {
-						return false // unblocks at a pending producer's issue
-					}
-					if t := c.rf.PeekReadyAt(p); t >= regfile.NotReady {
-						return false
-					} else if t > now {
-						add(t)
-						return false
-					}
-				}
-				continue
-			}
-			if t := c.rf.PeekReadyAt(c.rf.PeekMapping(s)); t >= regfile.NotReady {
-				return false
-			} else if t > now {
-				add(t)
-				return false
-			}
-		}
-		return true
-	}
-	return c.capturedReadyProbe(e, now, add)
-}
-
-// iqReadyProbe mirrors iqReady (the final-IQ head check) read-only.
-func (c *Core) iqReadyProbe(e *opEntry, now int64, add func(int64)) bool {
-	return c.capturedReadyProbe(e, now, add)
-}
-
-// capturedReadyProbe checks readiness through the captured producer pairs
-// (conditional renaming) or the entry's own renamed sources (conventional).
-func (c *Core) capturedReadyProbe(e *opEntry, now int64, add func(int64)) bool {
-	if c.cfg.Renaming == RenameConditional {
-		for _, pr := range [...]struct {
-			p   *opEntry
-			seq uint64
-		}{{e.prod1, e.prodSeq1}, {e.prod2, e.prodSeq2}} {
-			p := liveProducer(pr.p, pr.seq)
-			if p == nil {
-				continue
-			}
-			if !p.issued {
-				return false // blocked on the producer's issue
-			}
-			if p.done > now {
-				add(p.done)
-				return false
-			}
-		}
-		return true
-	}
-	for _, p := range [...]regfile.PReg{e.srcP1, e.srcP2} {
-		if p == regfile.PRegNone {
-			continue
-		}
-		if t := c.rf.PeekReadyAt(p); t >= regfile.NotReady {
-			return false
-		} else if t > now {
-			add(t)
-			return false
-		}
-	}
-	return true
-}
-
-// issueResourcesProbe mirrors issueResourcesOK with the side-effect-free
-// OSCA check. Every false case is blocked on a drain (commit frees data
-// buffer entries and registers, store retirement decrements the OSCA), all
-// of which are covered events.
-func (c *Core) issueResourcesProbe(e *opEntry, fromSIQ bool) bool {
-	if e.op.HasDst() {
-		if fromSIQ && e.queue == 0 && !c.rf.CanAllocate(e.op.Dst) {
-			return false
-		}
-		if !fromSIQ && c.cfg.Renaming == RenameConditional && c.dbUsed >= c.cfg.DataBufSize {
-			return false
-		}
-	}
-	if e.op.Class == isa.Store && c.osca != nil {
-		if !c.osca.PeekCanInc(e.op.Addr, e.op.Size) {
-			return false
-		}
-	}
-	return true
-}
-
-// passResourcesProbe mirrors passResourcesOK without the RAT access count.
-func (c *Core) passResourcesProbe(qi int, e *opEntry) bool {
-	if qi != 0 || !e.op.HasDst() {
-		return true
-	}
-	if c.cfg.Renaming == RenameConventional {
-		return c.rf.CanAllocate(e.op.Dst)
-	}
-	return c.rf.CanAddProducer(c.rf.PeekMapping(e.op.Dst))
 }
 
 // ffSig is the cheap progress signature guarding FastForward. The queue

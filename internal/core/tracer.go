@@ -25,11 +25,6 @@ func (c *Core) emit(cycle int64, seq uint64, k ptrace.Kind) {
 	}
 }
 
-// nopTime is the no-op arrival-time callback handed to the read-only
-// readiness probes when classification only needs the boolean. Package
-// level so taking its address does not allocate a closure per cycle.
-func nopTime(int64) {}
-
 // tickCPI attributes the cycle that just executed to exactly one CPI
 // bucket and, when a recorder is active, publishes non-base cycles as
 // stall events tagged with the culprit instruction. It runs after every
@@ -66,9 +61,9 @@ func (c *Core) classifyCycle(now int64, committed0, flushes0 uint64) (ptrace.Buc
 		last := len(c.queues) - 1
 		var ready bool
 		if int(e.queue) == last {
-			ready = c.iqReadyProbe(e, now, nopTime)
+			ready = c.peekCapturedReady(e, now)
 		} else {
-			ready = c.siqReadyProbe(int(e.queue), e, now, nopTime)
+			ready = c.peekSIQReady(int(e.queue), e, now)
 		}
 		if !ready {
 			return ptrace.BucketSrc, e.op.Seq
@@ -82,7 +77,7 @@ func (c *Core) classifyCycle(now int64, committed0, flushes0 uint64) (ptrace.Buc
 		if !c.exitResourcesOK(0, e, 0) {
 			return ptrace.BucketROBSQ, e.op.Seq
 		}
-		if c.siqReadyProbe(0, e, now, nopTime) {
+		if c.peekSIQReady(0, e, now) {
 			return c.issueBlockBucket(e), e.op.Seq
 		}
 		// Not ready, so the head wants to pass; mirror the pass path's
@@ -90,7 +85,7 @@ func (c *Core) classifyCycle(now int64, committed0, flushes0 uint64) (ptrace.Buc
 		if len(c.queues) > 1 && c.queues[1].len() >= c.queues[1].cap() {
 			return ptrace.BucketIQFull, e.op.Seq
 		}
-		if !c.passResourcesProbe(0, e) {
+		if !c.peekPassResources(0, e) {
 			if c.cfg.Renaming == RenameConventional {
 				return ptrace.BucketPReg, e.op.Seq
 			}
@@ -120,4 +115,70 @@ func (c *Core) issueBlockBucket(e *opEntry) ptrace.Bucket {
 		return ptrace.BucketReplay
 	}
 	return ptrace.BucketFU
+}
+
+// peekSIQReady mirrors siqReady without its RAT/scoreboard charges, so the
+// classifier never perturbs the activity counts the energy model bills.
+func (c *Core) peekSIQReady(qi int, e *opEntry, now int64) bool {
+	if c.cfg.Disambig == DisambigAGIOrder && e.op.Class.IsMem() {
+		return false
+	}
+	if qi == 0 && !e.preAlloc {
+		for _, s := range [...]isa.Reg{e.op.Src1, e.op.Src2} {
+			if !s.Valid() {
+				continue
+			}
+			if c.cfg.Renaming == RenameConditional {
+				lw := c.lastWriter[s]
+				switch {
+				case lw == nil:
+					// Producer committed; value architectural.
+				case lw.op.Seq < e.op.Seq:
+					if !lw.issued || lw.done > now {
+						return false
+					}
+				default:
+					p := c.rf.PeekMapping(s)
+					if c.rf.Producers(p) > 0 || c.rf.PeekReadyAt(p) > now {
+						return false
+					}
+				}
+				continue
+			}
+			if c.rf.PeekReadyAt(c.rf.PeekMapping(s)) > now {
+				return false
+			}
+		}
+		return true
+	}
+	return c.peekCapturedReady(e, now)
+}
+
+// peekCapturedReady checks readiness through the captured producer pairs
+// (conditional renaming) or the entry's own renamed sources (conventional);
+// it is the read-only mirror of iqReady, the final-IQ head check.
+func (c *Core) peekCapturedReady(e *opEntry, now int64) bool {
+	if c.cfg.Renaming == RenameConditional {
+		for _, pr := range [...]struct {
+			p   *opEntry
+			seq uint64
+		}{{e.prod1, e.prodSeq1}, {e.prod2, e.prodSeq2}} {
+			if p := liveProducer(pr.p, pr.seq); p != nil && (!p.issued || p.done > now) {
+				return false
+			}
+		}
+		return true
+	}
+	return c.rf.PeekReadyAt(e.srcP1) <= now && c.rf.PeekReadyAt(e.srcP2) <= now
+}
+
+// peekPassResources mirrors passResourcesOK without the RAT access count.
+func (c *Core) peekPassResources(qi int, e *opEntry) bool {
+	if qi != 0 || !e.op.HasDst() {
+		return true
+	}
+	if c.cfg.Renaming == RenameConventional {
+		return c.rf.CanAllocate(e.op.Dst)
+	}
+	return c.rf.CanAddProducer(c.rf.PeekMapping(e.op.Dst))
 }

@@ -279,6 +279,9 @@ func (c Cell) Spec() (sim.Spec, error) {
 		if c.IQ > 0 {
 			cfg.IQSize = c.IQ
 		}
+		if err := cfg.Validate(); err != nil {
+			return sim.Spec{}, fmt.Errorf("dse: cell %s: %w", c.Key(), err)
+		}
 		s.SpecInOCfg = &cfg
 	case sim.ModelInO:
 		cfg := ino.DefaultConfig()

@@ -124,7 +124,12 @@ func TestServerErrorPaths(t *testing.T) {
 	defer ts.Close()
 
 	// Malformed and invalid grids: 400.
-	for _, body := range []string{`{not json`, `{"models":["nope"],"workloads":["mcf"]}`, `{"models":["ino"],"workloads":["mcf"],"typo":1}`} {
+	for _, body := range []string{
+		`{not json`,
+		`{"models":["nope"],"workloads":["mcf"]}`,
+		`{"models":["ino"],"workloads":["mcf"],"typo":1}`,
+		`{"models":["specino"],"workloads":["mcf"],"iq_sizes":[100]}`,
+	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,8 @@
 package eventq
 
 // NoEvent is returned when no future wakeup is registered: the core cannot
-// change state through the passage of time alone. It mirrors lsu.NoEvent.
+// change state through the passage of time alone. It is the one no-event
+// sentinel the simulator's packages share.
 const NoEvent = int64(1) << 62
 
 // Stats is a snapshot of the queue's activity counters.

@@ -123,18 +123,16 @@ func (f *FrontEnd) Cycle(now int64) {
 	}
 }
 
-// noEvent mirrors lsu.NoEvent: no progress through time alone.
-const noEvent = int64(1) << 62
-
 // NextFetchEvent returns the earliest cycle >= now at which Cycle(now)
 // could do anything: now when fetch would proceed (or hit the I-cache and
-// mutate it), the stall expiry while refilling, and a far-future sentinel
-// when fetch is blocked on something only the core can clear (an unresolved
-// mispredicted branch, a full dispatch buffer, an exhausted trace) — those
-// unblock via core events the fast-forward probe already tracks.
+// mutate it), the stall expiry while refilling, and eventq.NoEvent when
+// fetch is blocked on something only the core can clear (an unresolved
+// mispredicted branch, a full dispatch buffer, an exhausted trace). Those
+// unblock through a core cycle's own progress, which the event-driven
+// driver never jumps across. The models' NextWake pre-checks call it.
 func (f *FrontEnd) NextFetchEvent(now int64) int64 {
 	if f.blockedOn != NoSeq || f.n >= f.cfg.BufCap || f.rd.Peek(0) == nil {
-		return noEvent
+		return eventq.NoEvent
 	}
 	if now < f.stallUntil {
 		return f.stallUntil

@@ -1,12 +1,6 @@
 package ino
 
-import (
-	"casino/internal/eventq"
-	"casino/internal/isa"
-)
-
-// noEvent mirrors lsu.NoEvent: no progress through the passage of time.
-const noEvent = int64(1) << 62
+import "casino/internal/eventq"
 
 // NextWake returns the earliest cycle >= now at which the core might make
 // progress, driving the event-driven clock. Dispatch and fetch progress are
@@ -27,7 +21,9 @@ func (c *Core) NextWake() int64 {
 func (c *Core) WakeStats() eventq.Stats { return c.wq.Stats() }
 
 // ProgressSignature folds the fast-forward progress signature into one
-// value for the sim package's property tests.
+// value. The event-driven driver consults the wakeup queue only after a
+// cycle that left it unchanged, and the sim package's property tests
+// compare it across an event-driven core and a stepped replica.
 func (c *Core) ProgressSignature() uint64 {
 	// FNV-1a chained by hand: this runs on every commit-free cycle, so it
 	// must not materialize an array (stack copies) per call.
@@ -43,82 +39,6 @@ func (c *Core) ProgressSignature() uint64 {
 	h = (h ^ uint64(s.sb)) * p
 	h = (h ^ uint64(s.buf)) * p
 	return h
-}
-
-// NextEvent returns the earliest cycle >= now at which Cycle() could change
-// any observable state: commit/write-back, store retirement, an issue, a
-// dispatch, a fetch, or a flip of a *published counter's* charge pattern
-// (the stall-reason counters flip when the head's operands become ready
-// even if the issue itself stays blocked, so that time is an event too).
-// Returning now means "cannot prove this cycle idle"; the driver then
-// simulates it normally. Under-estimating the horizon is always safe — the
-// driver just probes again — so every blocked condition either contributes
-// the absolute cycle it unblocks at, or is left to the event that must
-// strictly precede it (e.g. a full SCB window drains only via write-back,
-// whose head time is already a candidate).
-func (c *Core) NextEvent() int64 {
-	now := c.now
-	next := noEvent
-	add := func(t int64) {
-		if t > now && t < next {
-			next = t
-		}
-	}
-
-	// Store-buffer retirement (head store starts or completes its cache
-	// update).
-	if t := c.sb.RetireEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-
-	// In-order write-back from the SCB window head.
-	if c.win.len() > 0 {
-		e := c.win.at(0)
-		wb := e.done
-		if wb < c.lastWB {
-			wb = c.lastWB
-		}
-		if wb > now {
-			add(wb)
-		} else if e.op.Class != isa.Store || !c.sb.Full() {
-			return now // write-back proceeds this cycle
-		}
-		// Store blocked on a full SB: unblocks via the SB retire event.
-	}
-
-	// Issue from the IQ head (stall-on-use: only the head matters).
-	if c.iq.len() > 0 {
-		op := c.iq.at(0).op
-		var ready int64
-		for _, s := range [...]isa.Reg{op.Src1, op.Src2} {
-			if s.Valid() && c.regReady[s] > ready {
-				ready = c.regReady[s]
-			}
-		}
-		switch {
-		case ready > now:
-			add(ready) // operand arrival (also flips stall.src → stall.res)
-		case c.win.len() >= c.cfg.SCBSize:
-			// Window full: drains via write-back, covered above.
-		case !c.fus.CanIssue(op.Class, now):
-			add(c.fus.NextFree(op.Class, now))
-		default:
-			return now // head issues this cycle
-		}
-	}
-
-	// Dispatch and fetch.
-	if c.fe.BufLen() > 0 && c.iq.len() < c.cfg.IQSize {
-		return now
-	}
-	if t := c.fe.NextFetchEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-	return next
 }
 
 // ffSig is a cheap progress signature: if any field changes across a cycle,

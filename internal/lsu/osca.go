@@ -74,7 +74,7 @@ func (o *OSCA) CanInc(addr uint64, size uint8) bool {
 }
 
 // PeekCanInc is the side-effect-free variant of CanInc (no Saturated
-// count), used by the fast-forward probes.
+// count), used by the CPI classifier.
 func (o *OSCA) PeekCanInc(addr uint64, size uint8) bool {
 	ok := true
 	o.each(addr, size, func(i int) {

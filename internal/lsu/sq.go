@@ -150,36 +150,6 @@ func (q *StoreQueue) HeadRetirable(now int64) bool {
 		e.SentinelSeq == NoSeq && e.RetireDone == 0
 }
 
-// NoEvent is returned by event probes when the queue cannot make progress
-// through the passage of time alone (empty, or blocked on a core action
-// such as commit or a sentinel clear).
-const NoEvent = int64(1) << 62
-
-// RetireEvent returns the earliest cycle >= now at which the head store can
-// make retirement progress: the retire-completion pop time if retirement
-// has started, the data-ready cycle if the head is committed and unguarded,
-// and NoEvent otherwise. Unlike HeadRetirable it is side-effect-free (no
-// activity counts) — it is a fast-forward probe, not a pipeline access.
-func (q *StoreQueue) RetireEvent(now int64) int64 {
-	if q.count == 0 {
-		return NoEvent
-	}
-	e := q.at(0)
-	if e.RetireDone != 0 {
-		if e.RetireDone <= now {
-			return now // pop happens this cycle
-		}
-		return e.RetireDone
-	}
-	if e.Committed && e.Resolved && e.SentinelSeq == NoSeq {
-		if e.DataReady <= now {
-			return now // retirement begins this cycle
-		}
-		return e.DataReady
-	}
-	return NoEvent
-}
-
 // StartRetire records the head's cache-update completion cycle.
 func (q *StoreQueue) StartRetire(done int64) {
 	e := q.Head()

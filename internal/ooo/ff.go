@@ -3,18 +3,13 @@ package ooo
 import (
 	"casino/internal/eventq"
 	"casino/internal/isa"
-	"casino/internal/lsu"
-	"casino/internal/regfile"
 )
-
-// noEvent mirrors lsu.NoEvent: no progress through the passage of time.
-const noEvent = int64(1) << 62
 
 // NextWake returns the earliest cycle >= now at which the core might make
 // progress, driving the event-driven clock. The O(1) pre-checks mirror the
 // dispatch gates and fetch — the streaming progress the wakeup queue does
-// not track — and the shared queue covers every timed event; unlike
-// NextEvent it never scans the scheduler.
+// not track — and the shared queue covers every timed event, so it never
+// scans the scheduler.
 func (c *Core) NextWake() int64 {
 	now := c.now
 	if op := c.fe.Peek(0); op != nil &&
@@ -34,7 +29,9 @@ func (c *Core) NextWake() int64 {
 func (c *Core) WakeStats() eventq.Stats { return c.wq.Stats() }
 
 // ProgressSignature folds the fast-forward progress signature into one
-// value for the sim package's property tests.
+// value. The event-driven driver consults the wakeup queue only after a
+// cycle that left it unchanged, and the sim package's property tests
+// compare it across an event-driven core and a stepped replica.
 func (c *Core) ProgressSignature() uint64 {
 	// FNV-1a chained by hand: this runs on every commit-free cycle, so it
 	// must not materialize an array (stack copies) per call.
@@ -52,89 +49,6 @@ func (c *Core) ProgressSignature() uint64 {
 	h = (h ^ uint64(s.lq)) * p
 	h = (h ^ uint64(s.buf)) * p
 	return h
-}
-
-// NextEvent returns the earliest cycle >= now at which Cycle() could change
-// observable state. The OoO scheduler examines every IQ entry each cycle,
-// so the probe scans the same set, collecting each entry's operand-arrival
-// time; entries blocked on another instruction's issue (producer not
-// issued, store-set wait on an unresolved store) contribute no time — that
-// blocking instruction's own issue is itself a tracked event and must come
-// first. Probes are side-effect-free (Peek* accessors), so probing a
-// stalled core never perturbs the energy model's activity counts.
-func (c *Core) NextEvent() int64 {
-	now := c.now
-	next := noEvent
-	add := func(t int64) {
-		if t > now && t < next {
-			next = t
-		}
-	}
-
-	// Store retirement.
-	if t := c.sq.RetireEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-
-	// Commit from the ROB head.
-	if c.n > 0 {
-		e := c.at(0)
-		if e.issued {
-			if e.done <= now {
-				return now
-			}
-			add(e.done)
-		}
-		// Unissued head: its issue is covered by the IQ scan below.
-	}
-
-	// Issue: scan the scheduler the way issue() does.
-	for i := 0; i < c.n; i++ {
-		e := c.at(i)
-		if !e.inIQ {
-			continue
-		}
-		t1 := c.rf.PeekReadyAt(e.srcP1)
-		t2 := c.rf.PeekReadyAt(e.srcP2)
-		if t1 >= regfile.NotReady || t2 >= regfile.NotReady {
-			continue // producer not issued yet: its issue is the prior event
-		}
-		t := t1
-		if t2 > t {
-			t = t2
-		}
-		if t > now {
-			add(t)
-			continue
-		}
-		if e.op.Class == isa.Load && e.waitStore != lsu.NoSeq && !c.sq.ResolvedOrGone(e.waitStore) {
-			continue // store-set wait: the store's issue is the prior event
-		}
-		if c.fus.CanIssue(e.op.Class, now) {
-			return now
-		}
-		add(c.fus.NextFree(e.op.Class, now))
-	}
-
-	// Dispatch (all gates are pure reads; charges happen only on a real
-	// dispatch, which this probe reports as an event at now).
-	if op := c.fe.Peek(0); op != nil &&
-		c.n < len(c.rob) && c.iqN < c.cfg.IQSize &&
-		!(op.Class == isa.Store && c.sq.Full()) &&
-		!(c.lq != nil && op.Class == isa.Load && c.lq.Full()) &&
-		!(op.HasDst() && !c.rf.CanAllocate(op.Dst)) {
-		return now
-	}
-
-	// Fetch.
-	if t := c.fe.NextFetchEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-	return next
 }
 
 // ffSig is the cheap progress signature guarding FastForward.

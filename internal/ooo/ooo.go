@@ -28,11 +28,11 @@ import (
 	"casino/internal/trace"
 )
 
-// NoScoreboard disables the producer-push wakeup bitmap and falls back to
-// the original full-scheduler scan on every cycle — retained as the
-// cross-validation oracle. The env var mirrors the CASINO_NO_FASTFORWARD
-// kill switch; tests flip the variable directly (it is sampled once per
-// core, at construction).
+// NoScoreboard turns off the producer-push wakeup bitmap, so issue walks
+// every scheduler entry on every cycle — the scan selection the scoreboard
+// is cross-validated against. It is set by the CASINO_NO_SCOREBOARD env
+// var; tests flip the variable directly (it is sampled once per core, at
+// construction).
 var NoScoreboard = os.Getenv("CASINO_NO_SCOREBOARD") != ""
 
 // Config holds the OoO core parameters.
@@ -89,7 +89,6 @@ func newStoreSets(clear uint64) *lsu.StoreSets {
 
 type robEntry struct {
 	op         *isa.MicroOp
-	inIQ       bool
 	issued     bool
 	done       int64
 	issueCycle int64
@@ -119,13 +118,15 @@ type Core struct {
 	rob  []robEntry // ring
 	head int
 	n    int
-	iqN  int // entries with inIQ set (avoids rescanning the ROB in dispatch)
 
-	// Push-wakeup select state: iqMask mirrors inIQ as one bit per ring
-	// slot, and the regfile's candidate bitmap marks slots whose source
-	// producers have all issued. sb latches !NoScoreboard at construction.
-	sb     bool
+	// iqMask holds one bit per ring slot, set while that slot's entry waits
+	// in the scheduler; iqN counts its set bits so dispatch need not. With
+	// the scoreboard on (sb latches !NoScoreboard at construction) the
+	// regfile's candidate bitmap further marks slots whose source producers
+	// have all issued.
 	iqMask []uint64
+	iqN    int
+	sb     bool
 
 	committed uint64
 
@@ -181,10 +182,10 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 		c.lq = lsu.NewLoadQueue(cfg.LQSize)
 		c.OccLQ = stats.NewHist(cfg.LQSize + 1)
 	}
+	c.iqMask = make([]uint64, (cfg.ROBSize+63)/64)
 	c.sb = !NoScoreboard
 	if c.sb {
 		c.rf.EnableWakeup(cfg.ROBSize)
-		c.iqMask = make([]uint64, (cfg.ROBSize+63)/64)
 	}
 	c.wq = eventq.New(2*(cfg.ROBSize+cfg.SQSize) + 16)
 	c.fus.SetWakeQueue(c.wq)
@@ -300,9 +301,7 @@ func (c *Core) classifyCycle(now int64, committed0, flushes0 uint64) (ptrace.Buc
 			}
 			return ptrace.BucketExec, e.op.Seq
 		}
-		t1 := c.rf.PeekReadyAt(e.srcP1)
-		t2 := c.rf.PeekReadyAt(e.srcP2)
-		if t1 >= regfile.NotReady || t2 >= regfile.NotReady || t1 > now || t2 > now {
+		if c.rf.PeekReadyAt(e.srcP1) > now || c.rf.PeekReadyAt(e.srcP2) > now {
 			return ptrace.BucketSrc, e.op.Seq
 		}
 		if e.op.Class == isa.Load && e.waitStore != lsu.NoSeq && !c.sq.ResolvedOrGone(e.waitStore) {
@@ -386,12 +385,8 @@ func (c *Core) commit(now int64) {
 // With the scoreboard on, only slots raised on the candidate bitmap
 // (every source producer issued) are visited; entries skipped that way
 // would have failed ready() at the source check without side effects, so
-// the two paths take identical decisions.
+// the scoreboard and the NoScoreboard scan take identical decisions.
 func (c *Core) issue(now int64) {
-	if !c.sb {
-		c.issueScan(now)
-		return
-	}
 	issued := 0
 	end := c.head + c.n
 	hi := end
@@ -406,15 +401,22 @@ func (c *Core) issue(now int64) {
 	}
 }
 
-// issueRange walks ready candidates in ring slots [lo, hi) — a contiguous,
-// non-wrapping, age-ordered run — via bits.TrailingZeros64 over the
-// candidate∧inIQ words. Returns true when issue must stop for this cycle
-// (width exhausted or a violation flush).
+// issueRange walks the scheduler entries in ring slots [lo, hi) — a
+// contiguous, non-wrapping, age-ordered run — via bits.TrailingZeros64 over
+// the iqMask words, filtered by the candidate bitmap when the scoreboard is
+// on. Returns true when issue must stop for this cycle (width exhausted or
+// a violation flush).
 func (c *Core) issueRange(now int64, lo, hi int, issued *int) bool {
-	wake := c.rf.WakeWords()
+	var wake []uint64
+	if c.sb {
+		wake = c.rf.WakeWords()
+	}
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
 		base := wi << 6
-		w := wake[wi] & c.iqMask[wi]
+		w := c.iqMask[wi]
+		if wake != nil {
+			w &= wake[wi]
+		}
 		if lo > base {
 			w &= ^uint64(0) << uint(lo-base)
 		}
@@ -441,7 +443,6 @@ func (c *Core) issueRange(now int64, lo, hi int, issued *int) bool {
 			if e.done > now+1 {
 				c.wq.Wake(e.done)
 			}
-			e.inIQ = false
 			c.iqN--
 			c.iqMask[wi] &^= uint64(1) << uint(b)
 			e.issued = true
@@ -465,50 +466,6 @@ func (c *Core) issueRange(now int64, lo, hi int, issued *int) bool {
 		}
 	}
 	return false
-}
-
-// issueScan is the original poll-based select: examine every scheduler
-// entry each cycle, oldest first. Retained as the NoScoreboard oracle.
-func (c *Core) issueScan(now int64) {
-	issued := 0
-	for i := 0; i < c.n && issued < c.cfg.Width; i++ {
-		e := c.at(i)
-		if !e.inIQ {
-			continue
-		}
-		if !c.ready(e, now) {
-			continue
-		}
-		if !c.fus.Issue(e.op.Class, now) {
-			continue
-		}
-		c.countFU(e.op.Class)
-		c.acct.Inc(c.hIQ, energy.Read, 1)
-		c.acct.Inc(c.hPRF, energy.Read, 2)
-		c.executeOp(e, now)
-		// A completion next cycle needs no wakeup: this issue already makes
-		// the current cycle non-idle, so no jump can start before it lands.
-		if e.done > now+1 {
-			c.wq.Wake(e.done)
-		}
-		e.inIQ = false
-		c.iqN--
-		e.issued = true
-		e.issueCycle = now
-		c.emit(now, e.op.Seq, ptrace.KindIssueSpec)
-		c.emit(e.done, e.op.Seq, ptrace.KindComplete)
-		issued++
-		if e.op.HasDst() {
-			// Completion broadcasts the destination tag across both
-			// source-tag columns of the IQ CAM (two match arrays).
-			c.acct.Inc(c.hIQ, energy.Search, 2)
-			c.acct.Inc(c.hPRF, energy.Write, 1)
-		}
-		if c.flushedThisCycle {
-			c.flushedThisCycle = false
-			return
-		}
-	}
 }
 
 func (c *Core) ready(e *robEntry, now int64) bool {
@@ -613,18 +570,18 @@ func (c *Core) violationFlush(victim uint64, now int64) {
 			c.rf.Release(e.newP)
 			c.acct.Inc(c.hRAT, energy.Write, 1)
 		}
-		if e.inIQ {
+		j := c.head + c.n - 1
+		if j >= len(c.rob) {
+			j -= len(c.rob)
+		}
+		if bit := uint64(1) << uint(j&63); c.iqMask[j>>6]&bit != 0 {
+			c.iqMask[j>>6] &^= bit
 			c.iqN--
 		}
 		if c.sb {
 			// Invalidate the squashed slot: registered waiters must not
 			// fire for whatever occupies the slot next.
-			j := c.head + c.n - 1
-			if j >= len(c.rob) {
-				j -= len(c.rob)
-			}
 			c.rf.ResetSlot(j)
-			c.iqMask[j>>6] &^= uint64(1) << uint(j&63)
 		}
 		c.n--
 	}
@@ -663,7 +620,6 @@ func (c *Core) dispatch(now int64) {
 		e := &c.rob[j]
 		*e = robEntry{
 			op:        op,
-			inIQ:      true,
 			waitStore: lsu.NoSeq,
 			srcP1:     c.rf.Lookup(op.Src1),
 			srcP2:     c.rf.Lookup(op.Src2),
@@ -671,12 +627,12 @@ func (c *Core) dispatch(now int64) {
 			oldP:      regfile.PRegNone,
 		}
 		c.acct.Inc(c.hRAT, energy.Read, 2)
+		c.iqMask[j>>6] |= uint64(1) << uint(j&63)
 		if c.sb {
 			c.rf.ResetSlot(j)
 			c.rf.WaitOn(e.srcP1, j)
 			c.rf.WaitOn(e.srcP2, j)
 			c.rf.ArmSlot(j)
-			c.iqMask[j>>6] |= uint64(1) << uint(j&63)
 		}
 		if op.HasDst() {
 			newP, oldP, ok := c.rf.Allocate(op.Dst)

@@ -55,10 +55,11 @@ func (p *FUPool) CanIssue(c isa.Class, now int64) bool {
 
 // NextFree returns the earliest cycle >= now at which an op of class c
 // could begin execution: now if a unit is already free, otherwise the
-// soonest busy-until time. Used by the fast-forward probes when an
-// otherwise-ready op is blocked only on an occupied (unpipelined) unit.
+// soonest busy-until time. SpecInO's sliding-window bound (slideEvent) uses
+// it when an otherwise-ready op is blocked only on an occupied
+// (unpipelined) unit.
 func (p *FUPool) NextFree(c isa.Class, now int64) int64 {
-	best := int64(1) << 62
+	best := eventq.NoEvent
 	for _, busy := range p.units[c.FU()] {
 		if busy <= now {
 			return now

@@ -144,12 +144,9 @@ func (f *File) Release(p PReg) {
 	}
 }
 
+// notReady is the ReadyAt sentinel for a physical register whose producer
+// has not issued yet.
 const notReady = int64(1) << 62
-
-// NotReady is the ReadyAt sentinel for a physical register whose producer
-// has not issued yet. Fast-forward probes compare against it to tell "ready
-// at a known future cycle" from "blocked on another instruction's issue".
-const NotReady = notReady
 
 // ReadyAt returns the cycle at which p's value is available (a very large
 // sentinel while its producer has not issued).
@@ -162,8 +159,8 @@ func (f *File) ReadyAt(p PReg) int64 {
 }
 
 // PeekMapping reads the RAT entry for a without counting a RAT access.
-// Fast-forward probes use it so probing a stalled core never perturbs the
-// activity counts the energy model bills.
+// The CPI classifiers use it so attributing a stalled cycle never perturbs
+// the activity counts the energy model bills.
 func (f *File) PeekMapping(a isa.Reg) PReg {
 	if !a.Valid() {
 		return PRegNone
@@ -172,7 +169,7 @@ func (f *File) PeekMapping(a isa.Reg) PReg {
 }
 
 // PeekReadyAt is the side-effect-free variant of ReadyAt (no scoreboard
-// access count), for fast-forward probes.
+// access count), for the CPI classifiers.
 func (f *File) PeekReadyAt(p PReg) int64 {
 	if p == PRegNone {
 		return 0

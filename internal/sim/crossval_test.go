@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -18,6 +19,60 @@ func metaMetric(k string) bool {
 	return strings.HasPrefix(k, "ff.") || strings.HasPrefix(k, "evq.")
 }
 
+// checkBitIdentical fails t unless got and ref agree bit for bit on the
+// headline results and on every published metric that describes the
+// modeled machine. It checks both directions, so a metric published by
+// only one of the two runs is a divergence too. what names the run pair in
+// failure messages.
+func checkBitIdentical(t *testing.T, what string, got, ref Result) {
+	t.Helper()
+	if got.Cycles != ref.Cycles || got.Instructions != ref.Instructions ||
+		got.IPC != ref.IPC || got.DynamicPJ != ref.DynamicPJ || got.StaticPJ != ref.StaticPJ {
+		t.Errorf("%s: headline results diverge: cycles %d vs %d, IPC %v vs %v, pJ %v+%v vs %v+%v",
+			what, got.Cycles, ref.Cycles, got.IPC, ref.IPC,
+			got.DynamicPJ, got.StaticPJ, ref.DynamicPJ, ref.StaticPJ)
+	}
+	for k, want := range ref.Extra {
+		if metaMetric(k) {
+			continue
+		}
+		v, ok := got.Extra[k]
+		if !ok {
+			t.Errorf("%s: metric %s published only by the reference run", what, k)
+		} else if v != want && !(math.IsNaN(v) && math.IsNaN(want)) {
+			t.Errorf("%s: metric %s: %v, reference %v", what, k, v, want)
+		}
+	}
+	for k := range got.Extra {
+		if _, ok := ref.Extra[k]; !ok && !metaMetric(k) {
+			t.Errorf("%s: metric %s missing from the reference run", what, k)
+		}
+	}
+}
+
+// checkEngineVsStep runs spec twice, event-driven and with
+// DisableFastForward (cycle-by-cycle stepping, the reference), requires the
+// stepped run never to jump and the two runs to be bit-identical, and
+// returns the event-driven result.
+func checkEngineVsStep(t *testing.T, spec Spec) Result {
+	t.Helper()
+	what := fmt.Sprintf("%s/%s seed=%d ops=%d", spec.Model, spec.Workload, spec.Seed, spec.Ops)
+	on, err := Run(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	spec.DisableFastForward = true
+	off, err := Run(spec)
+	if err != nil {
+		t.Fatalf("%s (step): %v", what, err)
+	}
+	if off.Extra["ff.jumps"] != 0 || off.Extra["ff.skipped_cycles"] != 0 {
+		t.Errorf("%s: DisableFastForward still jumped", what)
+	}
+	checkBitIdentical(t, what+" (event vs step)", on, off)
+	return on
+}
+
 // TestEventEngineCrossValidation is the randomized generalisation of
 // TestFastForwardDeterminism: every model, on randomly drawn short
 // workloads/seeds/lengths, must produce bit-identical results whether the
@@ -28,57 +83,24 @@ func TestEventEngineCrossValidation(t *testing.T) {
 	names := workload.Names()
 	for _, m := range Models() {
 		for trial := 0; trial < 3; trial++ {
-			wl := names[rng.Intn(len(names))]
 			ops := 2000 + rng.Intn(4000)
-			spec := Spec{
+			checkEngineVsStep(t, Spec{
 				Model:    m,
-				Workload: wl,
+				Workload: names[rng.Intn(len(names))],
 				Ops:      ops,
 				Warmup:   ops / 4,
 				Seed:     rng.Int63n(1 << 30),
-			}
-			on, err := Run(spec)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", m, wl, err)
-			}
-			spec.DisableFastForward = true
-			off, err := Run(spec)
-			if err != nil {
-				t.Fatalf("%s/%s (step): %v", m, wl, err)
-			}
-			if on.Cycles != off.Cycles || on.Instructions != off.Instructions ||
-				on.IPC != off.IPC || on.DynamicPJ != off.DynamicPJ || on.StaticPJ != off.StaticPJ {
-				t.Errorf("%s/%s seed=%d ops=%d: headline results diverge",
-					m, wl, spec.Seed, ops)
-			}
-			for k, want := range off.Extra {
-				if metaMetric(k) {
-					continue
-				}
-				if got := on.Extra[k]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Errorf("%s/%s seed=%d ops=%d: metric %s: event=%v step=%v",
-						m, wl, spec.Seed, ops, k, got, want)
-				}
-			}
-			for k := range on.Extra {
-				if !metaMetric(k) {
-					if _, ok := off.Extra[k]; !ok {
-						t.Errorf("%s/%s: metric %s only published event-driven", m, wl, k)
-					}
-				}
-			}
+			})
 		}
 	}
 }
 
 // propCore is the surface the property tests need from a model: the public
-// run interface, the event-driven clock, the exhaustive NextEvent oracle,
-// and the folded progress signature. All five models implement it.
+// run interface and the event-driven clock, whose folded progress
+// signature compares two cores from outside. All five models implement it.
 type propCore interface {
 	Core
 	eventDriven
-	NextEvent() int64
-	ProgressSignature() uint64
 }
 
 // buildPair constructs two independent, identically-configured cores over
@@ -103,33 +125,14 @@ func buildPair(t *testing.T, spec Spec) (a, b propCore) {
 	return mk(), mk()
 }
 
-// stepChecked advances the cycle-by-cycle replica one cycle, asserting the
-// NextEvent oracle's contract: a wakeup/event bound strictly in the future
-// means this cycle cannot change observable state. Because every stored
-// future time must be registered (on the wakeup queue, and visible to the
-// oracle), a violation here means some latency source stored a time without
-// announcing it — exactly the bug class the event engine must not have.
-func stepChecked(t *testing.T, model string, b propCore) {
-	t.Helper()
-	now := b.Now()
-	bound := b.NextEvent()
-	sig0 := b.ProgressSignature()
-	b.Cycle()
-	if b.ProgressSignature() != sig0 && bound > now {
-		t.Fatalf("%s: cycle %d changed observable state but NextEvent promised idleness until %d",
-			model, now, bound)
-	}
-}
-
 // TestEventEngineJumpEquivalence replays the driver's event-driven protocol
 // on core A while stepping an identical replica B cycle-by-cycle, and
 // compares the folded progress signatures after every jump and every
 // stepped cycle. A jump that skipped a non-idle cycle diverges the pair at
 // the very next checkpoint, localizing the failure to one jump — a much
-// sharper probe than end-of-run manifest comparison. The replica's cycles
-// are each oracle-checked (stepChecked), which asserts the registration
-// property: no registered wakeup is later than the first observable state
-// change.
+// sharper probe than end-of-run manifest comparison. It is the registration
+// property seen from outside: a wakeup registered late lets A jump across
+// a cycle in which the stepped B changed observable state.
 func TestEventEngineJumpEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	names := workload.Names()
@@ -150,7 +153,7 @@ func TestEventEngineJumpEquivalence(t *testing.T) {
 						jumps++
 					}
 					for b.Now() < a.Now() {
-						stepChecked(t, m, b)
+						b.Cycle()
 					}
 					if a.ProgressSignature() != b.ProgressSignature() || a.Committed() != b.Committed() {
 						t.Fatalf("%s/%s: replica diverged after jump %d -> %d (skipped %d)",
@@ -162,7 +165,7 @@ func TestEventEngineJumpEquivalence(t *testing.T) {
 				lastSig = sig
 			}
 			a.Cycle()
-			stepChecked(t, m, b)
+			b.Cycle()
 			if a.ProgressSignature() != b.ProgressSignature() {
 				t.Fatalf("%s/%s: replica diverged at cycle %d", m, wl, a.Now())
 			}

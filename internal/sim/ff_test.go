@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestFastForwardSkipsCycles asserts the acceptance criterion of the
 // event-horizon optimisation: on the default 60k-op configuration every
@@ -33,63 +29,9 @@ func TestFastForwardSkipsCycles(t *testing.T) {
 // an execution strategy, never a model change.
 func TestFastForwardDeterminism(t *testing.T) {
 	for _, m := range Models() {
-		spec := Spec{Model: m, Workload: "milc", Ops: 12000, Warmup: 3000, Seed: 7}
-		on, err := Run(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		spec.DisableFastForward = true
-		off, err := Run(spec)
-		if err != nil {
-			t.Fatalf("%s (no ff): %v", m, err)
-		}
+		on := checkEngineVsStep(t, Spec{Model: m, Workload: "milc", Ops: 12000, Warmup: 3000, Seed: 7})
 		if on.Extra["ff.skipped_cycles"] <= 0 {
 			t.Errorf("%s: fast-forward never fired; determinism check is vacuous", m)
 		}
-		if off.Extra["ff.jumps"] != 0 || off.Extra["ff.skipped_cycles"] != 0 {
-			t.Errorf("%s: DisableFastForward still jumped", m)
-		}
-		if on.Cycles != off.Cycles || on.Instructions != off.Instructions ||
-			on.IPC != off.IPC || on.DynamicPJ != off.DynamicPJ || on.StaticPJ != off.StaticPJ {
-			t.Errorf("%s: headline results diverge: ff %+v vs step %+v", m, on, off)
-		}
-		// ff.* (jump accounting) and evq.* (wakeup-queue activity, only
-		// published when the event engine drives the run) describe the
-		// execution strategy, not the modeled machine — everything else must
-		// match bit-for-bit.
-		meta := func(k string) bool {
-			return strings.HasPrefix(k, "ff.") || strings.HasPrefix(k, "evq.")
-		}
-		for k, want := range off.Extra {
-			if meta(k) {
-				continue
-			}
-			if got := on.Extra[k]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Errorf("%s: metric %s: ff=%v step=%v", m, k, got, want)
-			}
-		}
-		for k := range on.Extra {
-			if !meta(k) {
-				if _, ok := off.Extra[k]; !ok {
-					t.Errorf("%s: metric %s only published with ff on", m, k)
-				}
-			}
-		}
-	}
-}
-
-// TestFastForwardEnvKill checks the CASINO_NO_FASTFORWARD escape hatch.
-// The environment variable is read once at process start into noFFEnv (Run
-// is hot-path), so the test flips the cached flag directly.
-func TestFastForwardEnvKill(t *testing.T) {
-	old := noFFEnv
-	noFFEnv = true
-	defer func() { noFFEnv = old }()
-	r, err := Run(Spec{Model: ModelCASINO, Workload: "gcc", Ops: 4000, Warmup: 1000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Extra["ff.jumps"] != 0 {
-		t.Errorf("env kill switch ignored: ff.jumps = %v", r.Extra["ff.jumps"])
 	}
 }

@@ -302,7 +302,7 @@ func runSampled(s Spec) (Result, error) {
 			return Result{}, err
 		}
 		ev, _ := c.(eventDriven)
-		if s.DisableFastForward || noFFEnv {
+		if s.DisableFastForward {
 			ev = nil
 		}
 		var cyc0 int64

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,20 +51,8 @@ func TestScoreboardCrossValidation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s (scan oracle): %v", m, wl, err)
 			}
-			if on.Cycles != off.Cycles || on.Instructions != off.Instructions ||
-				on.IPC != off.IPC || on.DynamicPJ != off.DynamicPJ || on.StaticPJ != off.StaticPJ {
-				t.Errorf("%s/%s seed=%d ops=%d: headline results diverge from the scan oracle",
-					m, wl, spec.Seed, ops)
-			}
-			for k, want := range off.Extra {
-				if metaMetric(k) {
-					continue
-				}
-				if got := on.Extra[k]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Errorf("%s/%s seed=%d ops=%d: metric %s: scoreboard=%v scan=%v",
-						m, wl, spec.Seed, ops, k, got, want)
-				}
-			}
+			checkBitIdentical(t, fmt.Sprintf("%s/%s seed=%d ops=%d (scoreboard vs scan)",
+				m, wl, spec.Seed, ops), on, off)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -24,11 +23,6 @@ import (
 	"casino/internal/stats"
 	"casino/internal/trace"
 )
-
-// noFFEnv caches the CASINO_NO_FASTFORWARD kill switch at process start:
-// Run is on the hot path of every figure sweep and must not re-read the
-// environment per run. Tests flip the variable directly (with a restore).
-var noFFEnv = os.Getenv("CASINO_NO_FASTFORWARD") != ""
 
 // Model names accepted by Spec.Model.
 const (
@@ -75,9 +69,10 @@ type pipeTracer interface {
 // false when the cycle changed state and stands as a normal cycle.
 // WakeStats exposes the wakeup queue's activity counters for the run
 // manifest, and ProgressSignature folds the model's progress counters into
-// one value — the driver consults the queue only after a cycle whose
+// one value. The driver consults the queue only after a cycle whose
 // signature did not move, which is what makes jump attempts almost never
-// bail (see DESIGN.md, "Clock & event model").
+// bail (see DESIGN.md, "Clock & event model"); the property tests compare
+// it across an event-driven core and a stepped replica.
 type eventDriven interface {
 	NextWake() int64
 	FastForward(to int64) bool
@@ -115,9 +110,9 @@ type Spec struct {
 	Trace *trace.Trace
 
 	// DisableFastForward forces cycle-by-cycle simulation even for cores
-	// that implement the event-horizon interface. The CASINO_NO_FASTFORWARD
-	// environment variable has the same effect (useful for A/B timing and
-	// the determinism test). Results must be bit-identical either way.
+	// that implement the event-driven interface. Stepping every cycle is the
+	// reference the event engine is tested against: results must be
+	// bit-identical either way.
 	DisableFastForward bool
 
 	// TraceSink, when non-nil, receives the run's pipeline events (see the
@@ -227,7 +222,7 @@ func Run(s Spec) (Result, error) {
 	var cyc0 int64
 	var dyn0 float64
 	ev, _ := c.(eventDriven)
-	if s.DisableFastForward || noFFEnv {
+	if s.DisableFastForward {
 		ev = nil
 	}
 	if s.TraceSink != nil {

@@ -1,12 +1,6 @@
 package slice
 
-import (
-	"casino/internal/eventq"
-	"casino/internal/isa"
-)
-
-// noEvent mirrors lsu.NoEvent: no progress through the passage of time.
-const noEvent = int64(1) << 62
+import "casino/internal/eventq"
 
 // NextWake returns the earliest cycle >= now at which the core might make
 // progress, driving the event-driven clock. The pre-check mirrors the
@@ -47,7 +41,9 @@ func (c *Core) NextWake() int64 {
 func (c *Core) WakeStats() eventq.Stats { return c.wq.Stats() }
 
 // ProgressSignature folds the fast-forward progress signature into one
-// value for the sim package's property tests.
+// value. The event-driven driver consults the wakeup queue only after a
+// cycle that left it unchanged, and the sim package's property tests
+// compare it across an event-driven core and a stepped replica.
 func (c *Core) ProgressSignature() uint64 {
 	// FNV-1a chained by hand: this runs on every commit-free cycle, so it
 	// must not materialize an array (stack copies) per call.
@@ -65,143 +61,6 @@ func (c *Core) ProgressSignature() uint64 {
 	h = (h ^ uint64(s.sb)) * p
 	h = (h ^ uint64(s.buf)) * p
 	return h
-}
-
-// NextEvent returns the earliest cycle >= now at which Cycle() could change
-// observable state. The slice queues issue head-in-order, so only each
-// queue's head can act; a head blocked on an *unissued* producer (or a load
-// behind an unissued older store) contributes no time — that producer's own
-// issue is a separate tracked event that must come first, and the probe
-// reruns then. Dispatch needs care: Freeway's Y-IQ steering decision
-// depends on whether a producing load is still in flight, so when dispatch
-// is blocked on a full target queue, the load-completion times that could
-// re-steer the op are events too.
-func (c *Core) NextEvent() int64 {
-	now := c.now
-	next := noEvent
-	add := func(t int64) {
-		if t > now && t < next {
-			next = t
-		}
-	}
-
-	// Store-buffer retirement.
-	if t := c.sb.RetireEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-
-	// Commit from the window head.
-	if c.window.len() > 0 {
-		e := c.window.at(0)
-		if e.issued {
-			if e.done > now {
-				add(e.done)
-			} else if e.op.Class != isa.Store || !c.sb.Full() {
-				return now // commit proceeds this cycle
-			}
-			// Store blocked on a full SB: the SB retire event covers it.
-		}
-		// Unissued head: its issue is covered by the queue probes below.
-	}
-
-	// Issue: each queue's head, in the same order issue() serves them.
-	queues := [...]*entRing{&c.bq, &c.yq, &c.aq}
-	for _, q := range queues {
-		if q == &c.yq && c.cfg.Kind != Freeway {
-			continue
-		}
-		if t := c.queueHeadEvent(q, now); t <= now {
-			return now // this head issues this cycle
-		} else {
-			add(t)
-		}
-	}
-
-	// Dispatch: mirror the steering decision read-only.
-	if op := c.fe.Peek(0); op != nil && c.window.len() < c.window.cap() {
-		isSlice := op.Class.IsMem() || c.ist[op.PC]
-		var p1, p2 *entry
-		if op.Src1.Valid() {
-			p1 = c.lastWriter[op.Src1]
-		}
-		if op.Src2.Valid() {
-			p2 = c.lastWriter[op.Src2]
-		}
-		target := &c.aq
-		if isSlice {
-			target = &c.bq
-			if c.cfg.Kind == Freeway && c.dependsOnInFlightSliceLoad(p1, p2) {
-				target = &c.yq
-			}
-		}
-		if target.len() < target.cap() {
-			return now // dispatch proceeds this cycle
-		}
-		// Target full. The queue drains via its head (covered above), but a
-		// producing load's completion can also flip the Y-IQ steering.
-		if isSlice && c.cfg.Kind == Freeway {
-			for _, p := range [...]*entry{p1, p2} {
-				if p != nil && p.op.Class == isa.Load && p.issued && p.done > now {
-					add(p.done)
-				}
-			}
-		}
-	}
-
-	// Fetch.
-	if t := c.fe.NextFetchEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-	return next
-}
-
-// queueHeadEvent returns the head's earliest possible issue time: now if it
-// issues this cycle, a future cycle when blocked on completions or a busy
-// FU, or noEvent when the head is blocked on another instruction's issue
-// (that instruction's own issue is a separate tracked event).
-func (c *Core) queueHeadEvent(q *entRing, now int64) int64 {
-	if q.len() == 0 {
-		return noEvent
-	}
-	e := q.at(0)
-	var t int64 // max over producer completion times
-	for _, dep := range [...]struct {
-		p   *entry
-		seq uint64
-	}{{e.prod1, e.prodSeq1}, {e.prod2, e.prodSeq2}, {e.waw, e.wawSeq}} {
-		p := liveEnt(dep.p, dep.seq)
-		if p == nil {
-			continue
-		}
-		if !p.issued {
-			return noEvent // blocked on a producer's issue: that event comes first
-		}
-		if p.done > t {
-			t = p.done
-		}
-	}
-	if e.op.Class == isa.Load {
-		for i := 0; i < c.stores.len(); i++ {
-			w := c.stores.at(i)
-			if w.op.Seq >= e.op.Seq {
-				break
-			}
-			if !w.issued {
-				return noEvent // conservative ordering behind an unissued store
-			}
-			if w.done > t {
-				t = w.done
-			}
-		}
-	}
-	if t > now {
-		return t
-	}
-	return c.fus.NextFree(e.op.Class, now) // now when a unit is free
 }
 
 // ffSig is the cheap progress signature guarding FastForward.

@@ -6,9 +6,6 @@ import (
 	"casino/internal/eventq"
 )
 
-// noEvent mirrors lsu.NoEvent: no progress through the passage of time.
-const noEvent = int64(1) << 62
-
 // NextWake returns the earliest cycle >= now at which the core might make
 // progress, driving the event-driven clock. SpecInO is the one model the
 // shared wakeup queue cannot cover alone: its scheduling window slides by SO
@@ -34,7 +31,9 @@ func (c *Core) NextWake() int64 {
 func (c *Core) WakeStats() eventq.Stats { return c.wq.Stats() }
 
 // ProgressSignature folds the fast-forward progress signature into one
-// value for the sim package's property tests.
+// value. The event-driven driver consults the wakeup queue only after a
+// cycle that left it unchanged, and the sim package's property tests
+// compare it across an event-driven core and a stepped replica.
 func (c *Core) ProgressSignature() uint64 {
 	// FNV-1a chained by hand: this runs on every commit-free cycle, so it
 	// must not materialize an array (stack copies) per call.
@@ -59,14 +58,14 @@ func (c *Core) ProgressSignature() uint64 {
 // (kReady); if the window slides past j first (k > kMax) the entry can only
 // issue from the in-order head engine later, which queue events cover.
 func (c *Core) slideEvent(now int64) int64 {
-	next := noEvent
+	next := eventq.NoEvent
 	add := func(t int64) {
 		if t > now && t < next {
 			next = t
 		}
 	}
 	if c.unissued == 0 {
-		return noEvent
+		return eventq.NoEvent
 	}
 	i0 := bits.TrailingZeros64(c.unissued)
 	effW := c.winPos
@@ -107,66 +106,6 @@ func (c *Core) slideEvent(now int64) int64 {
 			continue
 		}
 		add(now + k)
-	}
-	return next
-}
-
-// NextEvent returns the earliest cycle >= now at which Cycle() could change
-// observable state. It is retained as the exhaustive oracle for the sim
-// package's property tests; the event-driven driver uses NextWake instead.
-// SpecInO needs the most careful probe of the five models: its scheduling
-// window *slides* by SO positions every cycle in which it issues nothing, so
-// during a stretch of idle cycles the set of examined IQ positions moves
-// deterministically (see slideEvent). The slide itself carries no
-// accounting, so it is not an event — FastForward replays it in closed form
-// instead.
-func (c *Core) NextEvent() int64 {
-	now := c.now
-	next := noEvent
-	add := func(t int64) {
-		if t > now && t < next {
-			next = t
-		}
-	}
-
-	// Commit from the IQ head.
-	if c.n > 0 && c.unissued&1 == 0 {
-		if c.done[0] <= now {
-			return now
-		}
-		add(c.done[0])
-	}
-
-	// In-order head engine: the first unissued entry.
-	if c.unissued != 0 {
-		i0 := bits.TrailingZeros64(c.unissued)
-		if r, ok := c.readyInfo(i0); ok {
-			if r > now {
-				add(r)
-			} else if c.fus.CanIssue(c.ops[i0].Class, now) {
-				return now
-			} else {
-				add(c.fus.NextFree(c.ops[i0].Class, now))
-			}
-		}
-		// Blocked on an unissued producer: that issue is the prior event.
-	}
-
-	// Sliding window arrivals.
-	if t := c.slideEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
-	}
-
-	// Dispatch and fetch.
-	if c.fe.BufLen() > 0 && c.n < c.cfg.IQSize {
-		return now
-	}
-	if t := c.fe.NextFetchEvent(now); t <= now {
-		return now
-	} else {
-		add(t)
 	}
 	return next
 }

@@ -8,6 +8,7 @@
 package specino
 
 import (
+	"fmt"
 	"math/bits"
 	"os"
 
@@ -24,8 +25,9 @@ import (
 
 // NoScoreboard disables the producer-push wakeup path and recomputes
 // readiness by scanning producer state on every check — the original
-// poll-based oracle, retained for cross-validation. The env var mirrors
-// the CASINO_NO_FASTFORWARD kill switch; tests flip the variable directly.
+// poll-based reference the scoreboard is cross-validated against. It is
+// set by the CASINO_NO_SCOREBOARD env var; tests flip the variable
+// directly.
 var NoScoreboard = os.Getenv("CASINO_NO_SCOREBOARD") != ""
 
 // Config holds the limit-study parameters.
@@ -41,6 +43,19 @@ type Config struct {
 // DefaultConfig returns SpecInO[2,1] over the Table I in-order machine.
 func DefaultConfig(ws, so int) Config {
 	return Config{Width: 2, IQSize: 16, WS: ws, SO: so, FrontDepth: 5}
+}
+
+// Validate checks the limits the core is built on: a window of at least
+// one entry that slides by at least one, and an IQ that fits the one-word
+// issue mask.
+func (c Config) Validate() error {
+	if c.WS < 1 || c.SO < 1 {
+		return fmt.Errorf("specino: WS and SO must be positive, got WS=%d SO=%d", c.WS, c.SO)
+	}
+	if c.IQSize < 1 || c.IQSize > 64 {
+		return fmt.Errorf("specino: IQSize %d outside [1,64]: the issue mask is one dense uint64 word", c.IQSize)
+	}
+	return nil
 }
 
 // Core is the idealized SpecInO machine.
@@ -115,11 +130,8 @@ func New(cfg Config, tr *trace.Trace, hier *mem.Hierarchy, acct *energy.Accounta
 // fresh one. The sampled-simulation driver uses it to open detailed windows
 // mid-trace against warmed shared state.
 func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *mem.Hierarchy, acct *energy.Accountant) *Core {
-	if cfg.WS < 1 || cfg.SO < 1 {
-		panic("specino: WS and SO must be positive")
-	}
-	if cfg.IQSize < 1 || cfg.IQSize > 64 {
-		panic("specino: IQSize must be in [1,64] — the issue mask is one dense uint64 word")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	c := &Core{cfg: cfg, hier: hier, fus: pipeline.ScaledFUPool(cfg.Width), acct: acct}
 	q := cfg.IQSize
