@@ -58,7 +58,7 @@ func runSweep(args []string) int {
 			}
 		}
 	}
-	m, points, err := dse.RunGridProgress(g, *workers, onCell)
+	m, points, _, err := dse.RunGridStats(g, *workers, onCell)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "casino-bench sweep: %v\n", err)
 		return 1

@@ -7,8 +7,7 @@
 // SpecInO baselines.
 //
 // Besides the text table it can emit the same window as a Konata-loadable
-// Kanata trace, a Perfetto-loadable Chrome trace-event JSON, or the compact
-// binary event format:
+// Kanata trace or a Perfetto-loadable Chrome trace-event JSON:
 //
 //	casino-pipeview -model casino -workload libquantum -skip 2000 -n 40
 //	casino-pipeview -model ooo -format kanata -o trace.kanata
@@ -20,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -38,7 +38,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 		skip     = flag.Uint64("skip", 2000, "skip this many instructions (warm-up)")
 		n        = flag.Uint64("n", 32, "instructions to display")
-		format   = flag.String("format", "text", "output format: text, kanata, chrome, binary")
+		format   = flag.String("format", "text", "output format: text, kanata, chrome")
 		out      = flag.String("o", "", "output file (default stdout)")
 		validate = flag.String("validate", "", "validate a Chrome trace-event JSON file and exit")
 		ws       = flag.Int("ws", 2, "SpecInO window size (specino model only)")
@@ -72,13 +72,13 @@ func main() {
 	tr := workload.Generate(p, ops, *seed)
 
 	w := io.Writer(os.Stdout)
+	var outFile *os.File
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fail(err)
 		}
-		defer f.Close()
-		w = f
+		w, outFile = f, f
 	}
 
 	label := func(seq uint64) string {
@@ -101,10 +101,8 @@ func main() {
 		cs := ptrace.NewChromeSink(w, *model)
 		cs.Label = label
 		sink = cs
-	case "binary":
-		sink = ptrace.NewRingSink(w, ops*8)
 	default:
-		fail(fmt.Errorf("unknown -format %q (text, kanata, chrome, binary)", *format))
+		fail(fmt.Errorf("unknown -format %q (text, kanata, chrome)", *format))
 	}
 
 	spec := sim.Spec{
@@ -130,12 +128,27 @@ func main() {
 	if err := sink.Close(); err != nil {
 		fail(err)
 	}
-	if *format != "text" {
-		return
+	if *format == "text" {
+		// Buffered, so a failed write surfaces at Flush.
+		bw := bufio.NewWriter(w)
+		printView(bw, *model, *wl, *skip, *n, collector.Events(), label, res)
+		if err := bw.Flush(); err != nil {
+			fail(err)
+		}
 	}
+	if outFile != nil {
+		// A failed close can leave the file truncated: report it.
+		if err := outFile.Close(); err != nil {
+			fail(err)
+		}
+	}
+}
 
-	tl := ptrace.BuildTimeline(collector.Events())
-	fmt.Fprintf(w, "%s pipeline view — %s, instructions %d..%d\n", *model, *wl, *skip, *skip+*n-1)
+// printView renders the text pipeline table for instructions skip..skip+n-1
+// and the whole run's CPI stack.
+func printView(w io.Writer, model, wl string, skip, n uint64, evs []ptrace.Event, label func(uint64) string, res sim.Result) {
+	tl := ptrace.BuildTimeline(evs)
+	fmt.Fprintf(w, "%s pipeline view — %s, instructions %d..%d\n", model, wl, skip, skip+n-1)
 	fmt.Fprintf(w, "%-5s %-22s %6s %9s %6s %9s %9s %8s %s\n",
 		"seq", "op", "fetch", "dispatch", "pass", "issue", "complete", "commit", "path")
 	var base int64 = -1

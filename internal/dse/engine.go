@@ -308,10 +308,8 @@ func (e *Engine) Close() {
 	<-e.drained
 }
 
-// runJob executes one job's cells on the worker pool. A full-fidelity job
-// is a single phase; a sampled-first job runs every cell sampled, promotes
-// the PromoteSet survivors, re-runs those at full fidelity, and reports
-// only the full-fidelity points — the merged manifest keeps both phases.
+// runJob executes one job's cells on the worker pool, in the phases
+// runSweep sets out, and publishes the outcome.
 func (e *Engine) runJob(job *Job) {
 	job.mu.Lock()
 	job.state = StateRunning
@@ -320,72 +318,28 @@ func (e *Engine) runJob(job *Job) {
 	job.publishLocked(job.started)
 	job.mu.Unlock()
 
-	fail := func(format string, args ...interface{}) {
+	m, points, err := runSweep(job.Cells, job.Grid.Sampling != nil,
+		func(cells []Cell, traceFPs map[string]uint64) ([]sim.Result, error) {
+			return e.runPhase(job, cells, traceFPs)
+		},
+		func(promoted int) {
+			e.met.sampledCells.Add(uint64(len(job.Cells)))
+			e.met.promotedCells.Add(uint64(promoted))
+			job.mu.Lock()
+			job.sampled = len(job.Cells)
+			job.promoted = promoted
+			job.total = len(job.Cells) + promoted
+			job.publishLocked(time.Now())
+			job.mu.Unlock()
+		})
+	if err != nil {
 		e.met.sweepsFailed.Add(1)
 		job.mu.Lock()
 		job.state = StateFailed
 		job.finished = time.Now()
-		job.errs = append(job.errs, fmt.Sprintf(format, args...))
+		job.errs = append(job.errs, err.Error())
 		job.publishLocked(job.finished)
 		job.mu.Unlock()
-	}
-
-	// Resolve every workload trace once up front (through the process-wide
-	// singleflight trace cache) — the fingerprints key the result cache
-	// and the manifest provenance.
-	traceFPs := map[string]uint64{}
-	n := job.Grid.Warmup + job.Grid.Ops
-	for _, w := range job.Grid.sortedWorkloads() {
-		tr, err := sim.SharedTrace(w, n, job.Grid.Seed)
-		if err != nil {
-			fail("workload %s: %v", w, err)
-			return
-		}
-		traceFPs[w] = tr.Fingerprint()
-	}
-
-	results, err := e.runPhase(job, job.Cells, traceFPs)
-	if err != nil {
-		fail("%v", err)
-		return
-	}
-	points := make([]Point, len(results))
-	for i, r := range results {
-		points[i] = pointOf(job.Cells[i], r)
-	}
-
-	allCells, allResults := job.Cells, results
-	if job.Grid.Sampling != nil {
-		promoted := PromoteSet(points)
-		full := make([]Cell, len(promoted))
-		for i, idx := range promoted {
-			full[i] = job.Cells[idx].Promote()
-		}
-		e.met.sampledCells.Add(uint64(len(job.Cells)))
-		e.met.promotedCells.Add(uint64(len(full)))
-		job.mu.Lock()
-		job.sampled = len(job.Cells)
-		job.promoted = len(full)
-		job.total = len(job.Cells) + len(full)
-		job.publishLocked(time.Now())
-		job.mu.Unlock()
-
-		fullResults, err := e.runPhase(job, full, traceFPs)
-		if err != nil {
-			fail("%v", err)
-			return
-		}
-		points = make([]Point, len(full))
-		for i, r := range fullResults {
-			points[i] = pointOf(full[i], r)
-		}
-		allCells = append(append([]Cell(nil), job.Cells...), full...)
-		allResults = append(append([]sim.Result(nil), results...), fullResults...)
-	}
-
-	m, err := MergeCells(allCells, allResults, traceFPs)
-	if err != nil {
-		fail("merge: %v", err)
 		return
 	}
 	e.met.sweepsDone.Add(1)
@@ -401,15 +355,6 @@ func (e *Engine) runJob(job *Job) {
 // runPhase shards one phase's cells across the pool through the result
 // cache and returns their results in cell order.
 func (e *Engine) runPhase(job *Job, cells []Cell, traceFPs map[string]uint64) ([]sim.Result, error) {
-	simCells := make([]sim.Cell, len(cells))
-	for i, c := range cells {
-		spec, err := c.Spec()
-		if err != nil {
-			return nil, err
-		}
-		simCells[i] = sim.Cell{App: c.Workload, Model: c.Model, Index: i, Spec: spec}
-	}
-
 	cellMs := make([]float64, len(cells))
 	runFn := func(sc sim.Cell) (sim.Result, error) {
 		e.met.workersBusy.Add(1)
@@ -439,13 +384,5 @@ func (e *Engine) runPhase(job *Job, cells []Cell, traceFPs map[string]uint64) ([
 		job.publishLocked(time.Now())
 		job.mu.Unlock()
 	}
-	cellResults := sim.RunCells(simCells, e.workers, runFn, onCell)
-	if err := sim.JoinCellErrors(cellResults); err != nil {
-		return nil, err
-	}
-	results := make([]sim.Result, len(cellResults))
-	for i, r := range cellResults {
-		results[i] = r.Result
-	}
-	return results, nil
+	return runCells(cells, e.workers, runFn, onCell)
 }

@@ -15,7 +15,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"casino/internal/core"
@@ -413,18 +412,4 @@ func ReadGridFile(path string) (Grid, error) {
 		return Grid{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return g, nil
-}
-
-// sortedWorkloads returns the grid's distinct workloads in sorted order.
-func (g Grid) sortedWorkloads() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, w := range g.Workloads {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

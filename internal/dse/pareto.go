@@ -25,21 +25,25 @@ type Point struct {
 	IPCCI95 float64 `json:"ipc_ci95,omitempty"`
 }
 
-// pointOf projects a cell's result onto the Pareto plane.
-func pointOf(c Cell, r sim.Result) Point {
-	p := Point{
-		Cell:          c.Key(),
-		Model:         c.Model,
-		Workload:      c.Workload,
-		IPC:           r.IPC,
-		EnergyPerInst: r.EnergyPerInst,
-		PerfPerEnergy: r.PerfPerEnergy,
+// pointsOf projects each cell's result onto the Pareto plane.
+func pointsOf(cells []Cell, results []sim.Result) []Point {
+	points := make([]Point, len(results))
+	for i, r := range results {
+		c := cells[i]
+		points[i] = Point{
+			Cell:          c.Key(),
+			Model:         c.Model,
+			Workload:      c.Workload,
+			IPC:           r.IPC,
+			EnergyPerInst: r.EnergyPerInst,
+			PerfPerEnergy: r.PerfPerEnergy,
+		}
+		if r.Sampled != nil {
+			points[i].Sampled = true
+			points[i].IPCCI95 = r.Sampled.IPCCI95
+		}
 	}
-	if r.Sampled != nil {
-		p.Sampled = true
-		p.IPCCI95 = r.Sampled.IPCCI95
-	}
-	return p
+	return points
 }
 
 // Frontier returns the Pareto-optimal subset of points: a point survives

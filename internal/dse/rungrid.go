@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"fmt"
+
 	"casino/internal/manifest"
 	"casino/internal/sim"
 )
@@ -18,43 +20,21 @@ type SweepStats struct {
 // gating path: `casino-bench sweep -workers 1` runs the exact cells a
 // server sweep shards, and the manifests must be byte-identical.
 func RunGrid(g Grid, workers int) (*manifest.Manifest, []Point, error) {
-	return RunGridProgress(g, workers, nil)
-}
-
-// RunGridProgress is RunGrid with a progress observer: onCell, when
-// non-nil, is called after each completed cell with the running done
-// count and the total (calls are serialized, in completion order; on a
-// sampled-first sweep the total grows once the promotion set is known).
-// The observer sees wall-clock pacing only — the returned manifest is
-// byte-identical with or without it.
-func RunGridProgress(g Grid, workers int, onCell func(done, total int)) (*manifest.Manifest, []Point, error) {
-	m, pts, _, err := RunGridStats(g, workers, onCell)
+	m, pts, _, err := RunGridStats(g, workers, nil)
 	return m, pts, err
 }
 
-// RunGridStats is RunGridProgress plus the sampled-first execution
-// counters. A full-fidelity grid runs in one phase. A grid with Sampling
-// set runs two: every cell at sampled fidelity, then the PromoteSet
-// survivors (per-workload Pareto frontier plus CI-overlap candidates)
-// re-run at full fidelity. The returned points come exclusively from the
-// final full-fidelity phase — a sampled estimate can steer the search but
-// never stands in a reported frontier — while the manifest merges both
-// phases (sampled cells under their "@sampled" keys).
+// RunGridStats is RunGrid with a progress observer and the sampled-first
+// execution counters. onCell, when non-nil, is called after each completed
+// cell with the running done count and the total (calls are serialized, in
+// completion order; on a sampled-first sweep the total grows once the
+// promotion set is known). The observer sees wall-clock pacing only — the
+// returned manifest is byte-identical with or without it.
 func RunGridStats(g Grid, workers int, onCell func(done, total int)) (*manifest.Manifest, []Point, SweepStats, error) {
 	cells, err := g.Expand()
 	if err != nil {
 		return nil, nil, SweepStats{}, err
 	}
-	ng := g.normalized()
-	traceFPs := map[string]uint64{}
-	for _, w := range ng.sortedWorkloads() {
-		tr, err := sim.SharedTrace(w, ng.Warmup+ng.Ops, ng.Seed)
-		if err != nil {
-			return nil, nil, SweepStats{}, err
-		}
-		traceFPs[w] = tr.Fingerprint()
-	}
-
 	done, total := 0, len(cells)
 	observe := func(sim.CellResult) {
 		done++
@@ -62,49 +42,84 @@ func RunGridStats(g Grid, workers int, onCell func(done, total int)) (*manifest.
 			onCell(done, total)
 		}
 	}
-
-	results, err := runCellList(cells, workers, observe)
-	if err != nil {
-		return nil, nil, SweepStats{}, err
-	}
-	points := make([]Point, len(results))
-	for i, r := range results {
-		points[i] = pointOf(cells[i], r)
-	}
-
 	var stats SweepStats
+	m, points, err := runSweep(cells, g.Sampling != nil,
+		func(phase []Cell, _ map[string]uint64) ([]sim.Result, error) {
+			return runCells(phase, workers, nil, observe)
+		},
+		func(promoted int) {
+			stats = SweepStats{SampledCells: len(cells), PromotedCells: promoted}
+			total += promoted
+		})
+	return m, points, stats, err
+}
+
+// runSweep is the one body of every sweep, serial or served. A
+// full-fidelity sweep runs its cells in one phase. A sampled sweep runs
+// two: every cell at sampled fidelity, then the PromoteSet survivors
+// (per-workload Pareto frontier plus CI-overlap candidates) re-run at full
+// fidelity, with onPromote told the promoted count first. The returned
+// points come exclusively from the final full-fidelity phase — a sampled
+// estimate can steer the search but never stands in a reported frontier —
+// while the manifest merges both phases (sampled cells under their
+// "@sampled" keys). runPhase runs one phase's cells and returns their
+// results in cell order; it receives the workloads' trace fingerprints.
+func runSweep(cells []Cell, sampled bool, runPhase func([]Cell, map[string]uint64) ([]sim.Result, error), onPromote func(promoted int)) (*manifest.Manifest, []Point, error) {
+	traceFPs, err := traceFingerprints(cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := runPhase(cells, traceFPs)
+	if err != nil {
+		return nil, nil, err
+	}
+	points := pointsOf(cells, results)
+
 	allCells, allResults := cells, results
-	if g.Sampling != nil {
+	if sampled {
 		promoted := PromoteSet(points)
-		stats.SampledCells = len(cells)
-		stats.PromotedCells = len(promoted)
 		full := make([]Cell, len(promoted))
 		for i, idx := range promoted {
 			full[i] = cells[idx].Promote()
 		}
-		total += len(full)
-		fullResults, err := runCellList(full, workers, observe)
+		onPromote(len(full))
+		fullResults, err := runPhase(full, traceFPs)
 		if err != nil {
-			return nil, nil, stats, err
+			return nil, nil, err
 		}
-		points = make([]Point, len(full))
-		for i, r := range fullResults {
-			points[i] = pointOf(full[i], r)
-		}
+		points = pointsOf(full, fullResults)
 		allCells = append(append([]Cell(nil), cells...), full...)
 		allResults = append(append([]sim.Result(nil), results...), fullResults...)
 	}
 
 	m, err := MergeCells(allCells, allResults, traceFPs)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, fmt.Errorf("merge: %w", err)
 	}
-	return m, points, stats, nil
+	return m, points, nil
 }
 
-// runCellList runs one phase's cells through the sharded cell runner and
-// collects their results in cell order.
-func runCellList(cells []Cell, workers int, observe func(sim.CellResult)) ([]sim.Result, error) {
+// traceFingerprints resolves each workload's trace once, through the
+// process-wide singleflight trace cache, and returns its fingerprint: the
+// fingerprints key the result cache and the manifest provenance.
+func traceFingerprints(cells []Cell) (map[string]uint64, error) {
+	fps := map[string]uint64{}
+	for _, c := range cells {
+		if _, ok := fps[c.Workload]; ok {
+			continue
+		}
+		tr, err := sim.SharedTrace(c.Workload, c.Warmup+c.Ops, c.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: %w", c.Workload, err)
+		}
+		fps[c.Workload] = tr.Fingerprint()
+	}
+	return fps, nil
+}
+
+// runCells runs one phase's cells through the sharded cell runner (runFn
+// nil runs sim.Run) and collects their results in cell order.
+func runCells(cells []Cell, workers int, runFn func(sim.Cell) (sim.Result, error), onCell func(sim.CellResult)) ([]sim.Result, error) {
 	simCells := make([]sim.Cell, len(cells))
 	for i, c := range cells {
 		spec, err := c.Spec()
@@ -113,7 +128,7 @@ func runCellList(cells []Cell, workers int, observe func(sim.CellResult)) ([]sim
 		}
 		simCells[i] = sim.Cell{App: c.Workload, Model: c.Model, Index: i, Spec: spec}
 	}
-	cellResults := sim.RunCells(simCells, workers, nil, observe)
+	cellResults := sim.RunCells(simCells, workers, runFn, onCell)
 	if err := sim.JoinCellErrors(cellResults); err != nil {
 		return nil, err
 	}

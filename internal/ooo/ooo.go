@@ -12,7 +12,6 @@ package ooo
 
 import (
 	"math/bits"
-	"os"
 
 	"casino/internal/bpred"
 	"casino/internal/energy"
@@ -27,13 +26,6 @@ import (
 	"casino/internal/stats"
 	"casino/internal/trace"
 )
-
-// NoScoreboard turns off the producer-push wakeup bitmap, so issue walks
-// every scheduler entry on every cycle — the scan selection the scoreboard
-// is cross-validated against. It is set by the CASINO_NO_SCOREBOARD env
-// var; tests flip the variable directly (it is sampled once per core, at
-// construction).
-var NoScoreboard = os.Getenv("CASINO_NO_SCOREBOARD") != ""
 
 // Config holds the OoO core parameters.
 type Config struct {
@@ -120,13 +112,11 @@ type Core struct {
 	n    int
 
 	// iqMask holds one bit per ring slot, set while that slot's entry waits
-	// in the scheduler; iqN counts its set bits so dispatch need not. With
-	// the scoreboard on (sb latches !NoScoreboard at construction) the
-	// regfile's candidate bitmap further marks slots whose source producers
-	// have all issued.
+	// in the scheduler; iqN counts its set bits so dispatch need not. The
+	// regfile's candidate bitmap (WakeWords) further marks slots whose
+	// source producers have all issued.
 	iqMask []uint64
 	iqN    int
-	sb     bool
 
 	committed uint64
 
@@ -183,10 +173,7 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 		c.OccLQ = stats.NewHist(cfg.LQSize + 1)
 	}
 	c.iqMask = make([]uint64, (cfg.ROBSize+63)/64)
-	c.sb = !NoScoreboard
-	if c.sb {
-		c.rf.EnableWakeup(cfg.ROBSize)
-	}
+	c.rf.EnableWakeup(cfg.ROBSize)
 	c.wq = eventq.New(2*(cfg.ROBSize+cfg.SQSize) + 16)
 	c.fus.SetWakeQueue(c.wq)
 	c.sq.SetWakeQueue(c.wq)
@@ -382,10 +369,9 @@ func (c *Core) commit(now int64) {
 }
 
 // issue selects up to Width ready instructions oldest-first from the IQ.
-// With the scoreboard on, only slots raised on the candidate bitmap
-// (every source producer issued) are visited; entries skipped that way
-// would have failed ready() at the source check without side effects, so
-// the scoreboard and the NoScoreboard scan take identical decisions.
+// Only slots raised on the candidate bitmap (every source producer issued)
+// are visited; an entry skipped that way would have failed ready() at the
+// source check without side effects, so the filter changes no decision.
 func (c *Core) issue(now int64) {
 	issued := 0
 	end := c.head + c.n
@@ -403,20 +389,13 @@ func (c *Core) issue(now int64) {
 
 // issueRange walks the scheduler entries in ring slots [lo, hi) — a
 // contiguous, non-wrapping, age-ordered run — via bits.TrailingZeros64 over
-// the iqMask words, filtered by the candidate bitmap when the scoreboard is
-// on. Returns true when issue must stop for this cycle (width exhausted or
-// a violation flush).
+// the iqMask words, filtered by the candidate bitmap. Returns true when
+// issue must stop for this cycle (width exhausted or a violation flush).
 func (c *Core) issueRange(now int64, lo, hi int, issued *int) bool {
-	var wake []uint64
-	if c.sb {
-		wake = c.rf.WakeWords()
-	}
+	wake := c.rf.WakeWords()
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
 		base := wi << 6
-		w := c.iqMask[wi]
-		if wake != nil {
-			w &= wake[wi]
-		}
+		w := c.iqMask[wi] & wake[wi]
 		if lo > base {
 			w &= ^uint64(0) << uint(lo-base)
 		}
@@ -578,11 +557,9 @@ func (c *Core) violationFlush(victim uint64, now int64) {
 			c.iqMask[j>>6] &^= bit
 			c.iqN--
 		}
-		if c.sb {
-			// Invalidate the squashed slot: registered waiters must not
-			// fire for whatever occupies the slot next.
-			c.rf.ResetSlot(j)
-		}
+		// Invalidate the squashed slot: registered waiters must not fire
+		// for whatever occupies the slot next.
+		c.rf.ResetSlot(j)
 		c.n--
 	}
 	if c.lq != nil {
@@ -628,12 +605,10 @@ func (c *Core) dispatch(now int64) {
 		}
 		c.acct.Inc(c.hRAT, energy.Read, 2)
 		c.iqMask[j>>6] |= uint64(1) << uint(j&63)
-		if c.sb {
-			c.rf.ResetSlot(j)
-			c.rf.WaitOn(e.srcP1, j)
-			c.rf.WaitOn(e.srcP2, j)
-			c.rf.ArmSlot(j)
-		}
+		c.rf.ResetSlot(j)
+		c.rf.WaitOn(e.srcP1, j)
+		c.rf.WaitOn(e.srcP2, j)
+		c.rf.ArmSlot(j)
 		if op.HasDst() {
 			newP, oldP, ok := c.rf.Allocate(op.Dst)
 			if !ok {

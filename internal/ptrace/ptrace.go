@@ -3,9 +3,9 @@
 // per-instruction lifecycle milestone (fetch, dispatch, S-IQ pass, issue —
 // speculative or in order — complete, commit, squash, flush) plus one
 // KindStall event per non-commit cycle carrying the cycle's CPI-stack
-// bucket. Sinks (Collector, KanataSink, ChromeSink, RingSink) consume the
-// stream; the CPI accumulator attributes every simulated cycle to exactly
-// one bucket, with Check enforcing that the buckets sum to total cycles.
+// bucket. Sinks (Collector, KanataSink, ChromeSink) consume the stream;
+// the CPI accumulator attributes every simulated cycle to exactly one
+// bucket, with Check enforcing that the buckets sum to total cycles.
 //
 // The bus is zero-overhead when off: cores guard every emission with a
 // single nil check on their recorder pointer and the CPI accumulator is a

@@ -1,8 +1,6 @@
 package ptrace
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"casino/internal/stats"
@@ -111,85 +109,6 @@ func TestRecorderSampling(t *testing.T) {
 		if e.Seq%4 != 0 {
 			t.Fatalf("seq %d escaped sampling filter", e.Seq)
 		}
-	}
-}
-
-func TestRingSinkWrap(t *testing.T) {
-	s := NewRingSink(nil, 4)
-	for i := 0; i < 10; i++ {
-		s.Emit(Event{Cycle: int64(i), Seq: uint64(i), Kind: KindCommit})
-	}
-	if got := s.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
-	}
-	evs := s.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := uint64(6 + i); e.Seq != want {
-			t.Fatalf("retained[%d].Seq = %d, want %d (oldest-first tail)", i, e.Seq, want)
-		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	in := []Event{
-		{Cycle: 0, Seq: 1, Kind: KindFetch},
-		{Cycle: 3, Seq: 1, Kind: KindIssueSpec},
-		{Cycle: 5, Seq: 2, Kind: KindStall, Stall: BucketDCache},
-		{Cycle: -1, Seq: 1 << 40, Kind: KindSquash},
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, in); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	if want := 16 + len(in)*ringRecSize; buf.Len() != want {
-		t.Fatalf("encoded %d bytes, want %d", buf.Len(), want)
-	}
-	out, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
-	}
-}
-
-func TestBinaryRejectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, []Event{{Seq: 1, Kind: KindFetch}}); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[0] ^= 0xff // clobber magic
-	if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
-		t.Fatal("corrupt magic accepted")
-	}
-	b[0] ^= 0xff
-	b[16+16] = byte(NumKinds) + 3 // clobber kind
-	if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
-		t.Fatal("corrupt kind accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader(b[:20])); err == nil {
-		t.Fatal("truncated trace accepted")
-	}
-}
-
-func TestRingSinkCloseWritesBinary(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewRingSink(&buf, 8)
-	s.Emit(Event{Cycle: 1, Seq: 1, Kind: KindFetch})
-	s.Emit(Event{Cycle: 2, Seq: 1, Kind: KindCommit})
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	out, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	if len(out) != 2 || out[1].Kind != KindCommit {
-		t.Fatalf("unexpected decoded trace: %+v", out)
 	}
 }
 

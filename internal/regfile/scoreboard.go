@@ -49,9 +49,6 @@ func (f *File) EnableWakeup(slots int) {
 	f.wu = w
 }
 
-// WakeupEnabled reports whether EnableWakeup was called.
-func (f *File) WakeupEnabled() bool { return f.wu != nil }
-
 // WakeWords exposes the candidate bitmap for the select loop. A set bit
 // means every source producer has issued (readiness time is known); the
 // selector still confirms the times against the current cycle.

@@ -78,10 +78,10 @@ func (c *Core) slideEvent(now int64) int64 {
 			(c.cfg.NonMemOnly && c.ops[j].Class.IsMem()) {
 			continue
 		}
-		r, ok := c.readyInfo(j)
-		if !ok {
+		if c.pending[j] != 0 {
 			continue // blocked on an unissued producer
 		}
+		r := c.readyT[j]
 		var kMin int64
 		if d := j - (effW + ws - 1); d > 0 {
 			kMin = (int64(d) + int64(so) - 1) / int64(so)

@@ -10,7 +10,6 @@ package specino
 import (
 	"fmt"
 	"math/bits"
-	"os"
 
 	"casino/internal/bpred"
 	"casino/internal/energy"
@@ -22,13 +21,6 @@ import (
 	"casino/internal/ptrace"
 	"casino/internal/trace"
 )
-
-// NoScoreboard disables the producer-push wakeup path and recomputes
-// readiness by scanning producer state on every check — the original
-// poll-based reference the scoreboard is cross-validated against. It is
-// set by the CASINO_NO_SCOREBOARD env var; tests flip the variable
-// directly.
-var NoScoreboard = os.Getenv("CASINO_NO_SCOREBOARD") != ""
 
 // Config holds the limit-study parameters.
 type Config struct {
@@ -81,9 +73,7 @@ type Core struct {
 	ops     []*isa.MicroOp
 	done    []int64 // completion cycle, valid once issued
 	readyT  []int64 // latest completion among this entry's issued producers
-	pending []uint8 // producers not yet issued (push-wakeup mode)
-	prodA   []int64 // dseq of Src1's writer, -1 = none (scan-oracle state)
-	prodB   []int64 // dseq of Src2's writer, -1 = none
+	pending []uint8 // producers not yet issued
 	stf     []int64 // dseq of the overlapping older store to forward from, -1 = none
 	wHead   []int32 // head of the entry's waiter list, -1 = empty
 
@@ -139,8 +129,6 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	c.done = make([]int64, q)
 	c.readyT = make([]int64, q)
 	c.pending = make([]uint8, q)
-	c.prodA = make([]int64, q)
-	c.prodB = make([]int64, q)
 	c.stf = make([]int64, q)
 	c.wHead = make([]int32, q)
 	c.stDseq = make([]int64, q)
@@ -252,8 +240,6 @@ func (c *Core) shift(k int) {
 	copy(c.done[:m], c.done[k:c.n])
 	copy(c.readyT[:m], c.readyT[k:c.n])
 	copy(c.pending[:m], c.pending[k:c.n])
-	copy(c.prodA[:m], c.prodA[k:c.n])
-	copy(c.prodB[:m], c.prodB[k:c.n])
 	copy(c.stf[:m], c.stf[k:c.n])
 	copy(c.wHead[:m], c.wHead[k:c.n])
 	for i := m; i < c.n; i++ {
@@ -336,40 +322,11 @@ func (c *Core) issue(now int64) {
 	}
 }
 
-// readyIdx reports whether entry i can issue at cycle now. In push-wakeup
-// mode this is two dense loads: producers decrement pending and raise
-// readyT when they issue, so no producer state is revisited. The scan
-// oracle recomputes the same answer from producer dseqs.
+// readyIdx reports whether entry i can issue at cycle now. It is two
+// dense loads: producers decrement pending and raise readyT when they
+// issue, so no producer state is revisited.
 func (c *Core) readyIdx(i int, now int64) bool {
-	if NoScoreboard {
-		r, ok := c.readyInfo(i)
-		return ok && r <= now
-	}
 	return c.pending[i] == 0 && c.readyT[i] <= now
-}
-
-// readyInfo returns the cycle entry i's operands complete; ok is false
-// while a producer has not issued. Committed producers (dseq < headDseq)
-// completed at or before their commit cycle, so they never bound r from
-// above now.
-func (c *Core) readyInfo(i int) (int64, bool) {
-	if !NoScoreboard {
-		return c.readyT[i], c.pending[i] == 0
-	}
-	var r int64
-	for _, d := range [...]int64{c.prodA[i], c.prodB[i], c.stf[i]} {
-		if d < c.headDseq {
-			continue // no producer, or it already committed
-		}
-		pi := int(d - c.headDseq)
-		if c.unissued&(uint64(1)<<uint(pi)) != 0 {
-			return 0, false
-		}
-		if c.done[pi] > r {
-			r = c.done[pi]
-		}
-	}
-	return r, true
 }
 
 func (c *Core) execute(i int, now int64) {
@@ -392,9 +349,7 @@ func (c *Core) execute(i int, now int64) {
 		done = now + int64(op.Class.ExecLatency())
 	}
 	c.done[i] = done
-	if !NoScoreboard {
-		c.fire(i, done)
-	}
+	c.fire(i, done)
 	// A completion next cycle needs no wakeup: this issue already makes the
 	// current cycle non-idle, so no jump can start before the effect lands.
 	if done > now+1 {
@@ -422,10 +377,12 @@ func (c *Core) fire(i int, done int64) {
 
 // watch registers consumer ci on producer dseq d: an already-issued
 // producer contributes its completion time immediately, an unissued one
-// gets a waiter node and bumps ci's pending count.
+// gets a waiter node and bumps ci's pending count. A committed producer
+// (dseq < headDseq) completed at or before its commit cycle, so it never
+// holds ci back.
 func (c *Core) watch(d int64, ci int) {
-	if NoScoreboard || d < c.headDseq {
-		return // scan mode, no producer, or the producer committed
+	if d < c.headDseq {
+		return // no producer, or the producer committed
 	}
 	pi := int(d - c.headDseq)
 	if c.unissued&(uint64(1)<<uint(pi)) == 0 {
@@ -463,18 +420,14 @@ func (c *Core) dispatch() {
 		c.done[i] = 0
 		c.readyT[i] = 0
 		c.pending[i] = 0
-		c.prodA[i] = -1
-		c.prodB[i] = -1
 		c.stf[i] = -1
 		c.wHead[i] = -1
 		c.unissued |= uint64(1) << uint(i)
 		if op.Src1.Valid() {
-			c.prodA[i] = c.lastWriter[op.Src1]
-			c.watch(c.prodA[i], i)
+			c.watch(c.lastWriter[op.Src1], i)
 		}
 		if op.Src2.Valid() {
-			c.prodB[i] = c.lastWriter[op.Src2]
-			c.watch(c.prodB[i], i)
+			c.watch(c.lastWriter[op.Src2], i)
 		}
 		if op.Class == isa.Load {
 			// Oracle disambiguation: find the youngest overlapping older
@@ -586,7 +539,7 @@ func (c *Core) classifyCycle(now int64, committed0 uint64) (ptrace.Bucket, uint6
 			}
 			return ptrace.BucketExec, op.Seq
 		}
-		if r, ok := c.readyInfo(0); !ok || r > now {
+		if !c.readyIdx(0, now) {
 			if c.stfBlocked(0, now) {
 				// Oracle disambiguation holds the load for an older store.
 				return ptrace.BucketDCache, op.Seq
