@@ -25,132 +25,107 @@ func benchOpts() sim.Options {
 	return sim.Options{Ops: 30000, Warmup: 8000, Seed: 1}
 }
 
+// benchFigure regenerates one figure and returns its metrics under their
+// run-manifest names.
+func benchFigure(b *testing.B, id string) map[string]float64 {
+	b.Helper()
+	_, m, err := sim.RunFigure(id, benchOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if sim.Table1().String() == "" {
-			b.Fatal("empty table")
+		if text, _, err := sim.RunFigure("table1", benchOpts()); err != nil || text == "" {
+			b.Fatal("empty table", err)
 		}
 	}
 }
 
 func BenchmarkFig2SpecInOPotential(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, geo, err := sim.Fig2(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(geo["SpecInO[2,1] All"], "specino21-x")
-		b.ReportMetric(geo["SpecInO[2,1] Non-mem"], "specino21nm-x")
-		b.ReportMetric(geo["OoO"], "ooo-x")
+		m := benchFigure(b, "fig2")
+		b.ReportMetric(m["fig2.norm_ipc_geomean.SpecInO[2,1]_All"], "specino21-x")
+		b.ReportMetric(m["fig2.norm_ipc_geomean.SpecInO[2,1]_Non-mem"], "specino21nm-x")
+		b.ReportMetric(m["fig2.norm_ipc_geomean.OoO"], "ooo-x")
 	}
 }
 
 func BenchmarkFig6IPC(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, geo, err := sim.Fig6(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(geo["LSC"], "lsc-x")
-		b.ReportMetric(geo["Freeway"], "freeway-x")
-		b.ReportMetric(geo["CASINO"], "casino-x")
-		b.ReportMetric(geo["OoO"], "ooo-x")
+		m := benchFigure(b, "fig6")
+		b.ReportMetric(m["fig6.norm_ipc_geomean.LSC"], "lsc-x")
+		b.ReportMetric(m["fig6.norm_ipc_geomean.Freeway"], "freeway-x")
+		b.ReportMetric(m["fig6.norm_ipc_geomean.CASINO"], "casino-x")
+		b.ReportMetric(m["fig6.norm_ipc_geomean.OoO"], "ooo-x")
 	}
 }
 
 func BenchmarkFig7Renaming(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, sum, err := sim.Fig7(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(sum.NormIPC["ConD[32,14]"], "cond-vs-conv-x")
-		b.ReportMetric(sum.AllocsPerKC["ConD[32,14]"]/sum.AllocsPerKC["ConV[32,14]"], "alloc-ratio")
-		b.ReportMetric(sum.SpecMem+sum.SpecNonMem, "siq-frac")
+		m := benchFigure(b, "fig7")
+		b.ReportMetric(m["fig7.norm_ipc.ConD[32,14]"], "cond-vs-conv-x")
+		b.ReportMetric(m["fig7.allocs_per_kc.ConD[32,14]"]/m["fig7.allocs_per_kc.ConV[32,14]"], "alloc-ratio")
+		b.ReportMetric(m["fig7.issue_frac.spec_mem"]+m["fig7.issue_frac.spec_non_mem"], "siq-frac")
 	}
 }
 
 func BenchmarkFig8Disambiguation(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, sum, err := sim.Fig8(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(sum.NormIPC["AGI-Ordering"], "agi-ipc-x")
-		b.ReportMetric(sum.NormIPC["NoLQ+OSCA"], "osca-ipc-x")
-		b.ReportMetric(sum.SQSearches["NoLQ+OSCA"]/sum.SQSearches["NoLQ"], "osca-search-ratio")
-		b.ReportMetric(sum.NormEff["NoLQ+OSCA"], "osca-eff-x")
+		m := benchFigure(b, "fig8")
+		b.ReportMetric(m["fig8.norm_ipc.AGI-Ordering"], "agi-ipc-x")
+		b.ReportMetric(m["fig8.norm_ipc.NoLQ+OSCA"], "osca-ipc-x")
+		b.ReportMetric(m["fig8.sq_searches_per_ki.NoLQ+OSCA"]/m["fig8.sq_searches_per_ki.NoLQ"], "osca-search-ratio")
+		b.ReportMetric(m["fig8.norm_perf_per_energy.NoLQ+OSCA"], "osca-eff-x")
 	}
 }
 
 func BenchmarkFig9AreaEnergy(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, sum, err := sim.Fig9(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(sum.NormArea["CASINO"], "casino-area-x")
-		b.ReportMetric(sum.NormArea["OoO"], "ooo-area-x")
-		b.ReportMetric(sum.NormEnergy["CASINO"], "casino-energy-x")
-		b.ReportMetric(sum.NormEnergy["OoO"], "ooo-energy-x")
-		b.ReportMetric(sum.NormEnergy["OoO+NoLQ"], "ooonolq-energy-x")
+		m := benchFigure(b, "fig9")
+		b.ReportMetric(m["fig9.norm_area.CASINO"], "casino-area-x")
+		b.ReportMetric(m["fig9.norm_area.OoO"], "ooo-area-x")
+		b.ReportMetric(m["fig9.norm_energy.CASINO"], "casino-energy-x")
+		b.ReportMetric(m["fig9.norm_energy.OoO"], "ooo-energy-x")
+		b.ReportMetric(m["fig9.norm_energy.OoO+NoLQ"], "ooonolq-energy-x")
 	}
 }
 
 func BenchmarkFig10aIQSize(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, pts, err := sim.Fig10a(o, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[12][0], "iq12-x")
-		b.ReportMetric(pts[4][0], "iq4-x")
-		b.ReportMetric(pts[12][1], "iq12-sissue")
+		m := benchFigure(b, "fig10a")
+		b.ReportMetric(m["fig10a.norm_ipc.iq12"], "iq12-x")
+		b.ReportMetric(m["fig10a.norm_ipc.iq4"], "iq4-x")
+		b.ReportMetric(m["fig10a.s_issue_frac.iq12"], "iq12-sissue")
 	}
 }
 
 func BenchmarkFig10bWindowConfig(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, pts, err := sim.Fig10b(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts["[2,1]"], "ws2so1-x")
-		b.ReportMetric(pts["[2,2]"], "ws2so2-x")
-		b.ReportMetric(pts["[4,4]"], "ws4so4-x")
+		m := benchFigure(b, "fig10b")
+		b.ReportMetric(m["fig10b.norm_ipc.[2,1]"], "ws2so1-x")
+		b.ReportMetric(m["fig10b.norm_ipc.[2,2]"], "ws2so2-x")
+		b.ReportMetric(m["fig10b.norm_ipc.[4,4]"], "ws4so4-x")
 	}
 }
 
 func BenchmarkFig11WiderIssue(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, sum, err := sim.Fig11(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(sum.NormIPC["CASINO"][4], "casino4w-x")
-		b.ReportMetric(sum.NormIPC["OoO"][4], "ooo4w-x")
-		b.ReportMetric(sum.NormEff["CASINO"][4]/sum.NormEff["OoO"][4], "casino4w-eff-vs-ooo")
+		m := benchFigure(b, "fig11")
+		b.ReportMetric(m["fig11.norm_ipc.CASINO.4w"], "casino4w-x")
+		b.ReportMetric(m["fig11.norm_ipc.OoO.4w"], "ooo4w-x")
+		b.ReportMetric(m["fig11.norm_perf_per_energy.CASINO.4w"]/m["fig11.norm_perf_per_energy.OoO.4w"], "casino4w-eff-vs-ooo")
 	}
 }
 
 func BenchmarkSectionStats(b *testing.B) {
-	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		_, out, err := sim.SectionStats(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(out["casinoSIQFrac"], "siq-frac")
-		b.ReportMetric(out["producerDist"], "producer-dist")
-		b.ReportMetric(out["specInOOoOFrac"], "specino-ooo-frac")
+		m := benchFigure(b, "stats")
+		b.ReportMetric(m["stats.casinoSIQFrac"], "siq-frac")
+		b.ReportMetric(m["stats.producerDist"], "producer-dist")
+		b.ReportMetric(m["stats.specInOOoOFrac"], "specino-ooo-frac")
 	}
 }
 

@@ -26,9 +26,6 @@
 package casino
 
 import (
-	"fmt"
-	"strings"
-
 	"casino/internal/core"
 	"casino/internal/ino"
 	"casino/internal/mem"
@@ -145,56 +142,12 @@ func GenerateTrace(name string, n int, seed int64) (*Trace, error) {
 }
 
 // Figures lists the reproducible table/figure identifiers.
-func Figures() []string {
-	return []string{"table1", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig11", "stats"}
-}
+func Figures() []string { return sim.FigureIDs() }
 
 // Figure regenerates one of the paper's tables or figures as a rendered
-// text table. Identifiers are those returned by Figures.
+// text table. Identifiers are those returned by Figures, or their short
+// aliases ("6", "10a"), in any case.
 func Figure(id string, o Options) (string, error) {
-	switch strings.ToLower(id) {
-	case "table1", "table-1", "1":
-		return sim.Table1().String(), nil
-	case "fig2", "2":
-		t, _, err := sim.Fig2(o)
-		return render(t, err)
-	case "fig6", "6":
-		t, _, err := sim.Fig6(o)
-		return render(t, err)
-	case "fig7", "7":
-		t, sum, err := sim.Fig7(o)
-		if err != nil {
-			return "", err
-		}
-		extra := fmt.Sprintf("\nissue breakdown (ConD): Sp-Mem=%.2f Sp-N-mem=%.2f Mem=%.2f N-mem=%.2f\n",
-			sum.SpecMem, sum.SpecNonMem, sum.Mem, sum.NonMem)
-		return t.String() + extra, nil
-	case "fig8", "8":
-		t, _, err := sim.Fig8(o)
-		return render(t, err)
-	case "fig9", "9":
-		t, _, err := sim.Fig9(o)
-		return render(t, err)
-	case "fig10a", "10a":
-		t, _, err := sim.Fig10a(o, nil)
-		return render(t, err)
-	case "fig10b", "10b":
-		t, _, err := sim.Fig10b(o)
-		return render(t, err)
-	case "fig11", "11":
-		t, _, err := sim.Fig11(o)
-		return render(t, err)
-	case "stats":
-		t, _, err := sim.SectionStats(o)
-		return render(t, err)
-	default:
-		return "", fmt.Errorf("casino: unknown figure %q (known: %v)", id, Figures())
-	}
-}
-
-func render(t interface{ String() string }, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return t.String(), nil
+	text, _, err := sim.RunFigure(id, o)
+	return text, err
 }

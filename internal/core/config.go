@@ -158,5 +158,9 @@ func (c Config) Validate() error {
 	if c.OSCASize > 0 && c.OSCASize&(c.OSCASize-1) != 0 {
 		return fmt.Errorf("core: OSCA size must be a power of two")
 	}
+	// The OSCA's 8-bit counters saturate at the SQ/SB capacity.
+	if c.OSCASize > 0 && c.Disambig == DisambigOSCA && c.SQSize > 255 {
+		return fmt.Errorf("core: SQ size %d exceeds the OSCA counters' 255 limit", c.SQSize)
+	}
 	return nil
 }

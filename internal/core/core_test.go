@@ -306,6 +306,15 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("non-power-of-two OSCA accepted")
 	}
+	bad = DefaultConfig()
+	bad.SQSize = 256
+	if err := bad.Validate(); err == nil {
+		t.Error("SQ beyond the OSCA counters' range accepted")
+	}
+	bad.Disambig = DisambigNoLQ // no OSCA, no counter limit
+	if err := bad.Validate(); err != nil {
+		t.Errorf("256-entry SQ without an OSCA rejected: %v", err)
+	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}

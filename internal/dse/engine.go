@@ -167,7 +167,10 @@ func (m *engineMetrics) addCellCounters(res sim.Result) {
 // submissions during a run queue up behind it.
 type Engine struct {
 	workers int
-	cache   *ResultCache
+	// cache memoizes cell results by spec+trace fingerprint
+	// (Cell.CacheKey), so overlapping or repeated sweeps never simulate
+	// the same design point twice.
+	cache *sim.Memo[string, sim.Result]
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -181,6 +184,10 @@ type Engine struct {
 	met engineMetrics
 }
 
+// DefaultResultCacheSize bounds the result cache. A sweep cell's Result is
+// a few KiB of flattened metrics, so thousands are cheap to keep resident.
+const DefaultResultCacheSize = 4096
+
 // NewEngine starts an engine with the given pool width (<= 0 means
 // runtime.NumCPU()) and result-cache capacity (<= 0 means
 // DefaultResultCacheSize). Callers own the engine's lifecycle and must
@@ -189,9 +196,12 @@ func NewEngine(workers, cacheSize int) *Engine {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
+	if cacheSize <= 0 {
+		cacheSize = DefaultResultCacheSize
+	}
 	e := &Engine{
 		workers: workers,
-		cache:   NewResultCache(cacheSize),
+		cache:   sim.NewMemo[string, sim.Result](cacheSize),
 		jobs:    map[string]*Job{},
 		queue:   make(chan *Job, 256),
 		drained: make(chan struct{}),

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"casino/internal/manifest"
-	"casino/internal/sim"
 )
 
 // Small run window: engine tests care about orchestration, not IPC.
@@ -213,43 +212,5 @@ func TestSubmitRejectsBadGrid(t *testing.T) {
 	defer e.Close()
 	if _, err := e.Submit(Grid{Models: []string{"nope"}, Workloads: []string{"mcf"}}); err == nil {
 		t.Error("bad grid accepted")
-	}
-}
-
-// The result cache's singleflight: concurrent requests for one key run
-// the simulation once; the joiner reports a hit.
-func TestResultCacheSingleflight(t *testing.T) {
-	rc := NewResultCache(8)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	type out struct {
-		hit bool
-		res sim.Result
-	}
-	first := make(chan out)
-	go func() {
-		res, hit, _ := rc.Do("k", func() (sim.Result, error) {
-			close(started)
-			<-release
-			return sim.Result{Instructions: 7}, nil
-		})
-		first <- out{hit, res}
-	}()
-	<-started
-	second := make(chan out)
-	go func() {
-		res, hit, _ := rc.Do("k", func() (sim.Result, error) {
-			t.Error("second run executed despite in-flight entry")
-			return sim.Result{}, nil
-		})
-		second <- out{hit, res}
-	}()
-	close(release)
-	a, b := <-first, <-second
-	if a.hit || a.res.Instructions != 7 {
-		t.Errorf("first: %+v", a)
-	}
-	if !b.hit || b.res.Instructions != 7 {
-		t.Errorf("joiner: %+v", b)
 	}
 }

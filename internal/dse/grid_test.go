@@ -73,6 +73,7 @@ func TestGridValidation(t *testing.T) {
 		{Models: []string{"casino"}, Workloads: []string{"mcf"}, IQSizes: []int{0}},            // non-positive
 		{Models: []string{"casino"}, Workloads: []string{"mcf"}, OSCAWidths: []int{48}},        // not power of two
 		{Models: []string{"specino"}, Workloads: []string{"mcf"}, IQSizes: []int{100}},         // IQ beyond the 64-bit issue mask
+		{Models: []string{"casino"}, Workloads: []string{"mcf"}, SBSizes: []int{256}},          // SQ beyond the OSCA's 8-bit counters
 	}
 	for i, g := range bad {
 		if _, err := g.Expand(); err == nil {

@@ -85,10 +85,6 @@ func NewServer(e *Engine, opts ...ServerOption) *Server {
 	return s
 }
 
-// Telemetry returns the server's metrics registry, for callers that want
-// to add their own instruments before serving.
-func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
-
 // statusRecorder captures the response code for logging/metrics and
 // passes Flush through so the SSE handler can stream through it.
 type statusRecorder struct {

@@ -95,32 +95,20 @@ func TestEventEngineCrossValidation(t *testing.T) {
 	}
 }
 
-// propCore is the surface the property tests need from a model: the public
-// run interface and the event-driven clock, whose folded progress
-// signature compares two cores from outside. All five models implement it.
-type propCore interface {
-	Core
-	eventDriven
-}
-
 // buildPair constructs two independent, identically-configured cores over
 // one shared (read-only) trace.
-func buildPair(t *testing.T, spec Spec) (a, b propCore) {
+func buildPair(t *testing.T, spec Spec) (a, b Core) {
 	t.Helper()
 	tr, err := SharedTrace(spec.Workload, spec.Warmup+spec.Ops, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func() propCore {
+	mk := func() Core {
 		c, _, err := build(spec, tr, 0, nil, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Model, err)
 		}
-		pc, ok := c.(propCore)
-		if !ok {
-			t.Fatalf("%s: model does not implement the event-driven property surface", spec.Model)
-		}
-		return pc
+		return c
 	}
 	return mk(), mk()
 }

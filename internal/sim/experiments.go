@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"casino/internal/core"
 	"casino/internal/ino"
@@ -113,58 +115,165 @@ func runMatrix(o Options, mkSpecs func(app string) []Spec) (map[string][]Result,
 	return out, nil
 }
 
-// suiteDef is one per-app figure suite: the spec column labels and the
-// builder producing the specs for an app. Fig2/Fig6, the raw-JSON export
-// and the manifest builder all share these definitions, so a spec change
-// shows up consistently in the rendered table, the export and the golden
-// gating.
+// figure is one reproducible table or figure of the paper's evaluation.
+// The figures list below is the only place a figure is named: the text
+// tables, the run manifests the golden gate diffs, and the raw-JSON export
+// all look figures up in it.
+type figure struct {
+	id      string
+	aliases []string // accepted like id, case-insensitively
+	// prose marks a table with no numeric output (Table I): it renders
+	// text but has no metrics and no manifest.
+	prose bool
+	// suite is set for the per-app IPC suites, whose raw per-app results
+	// RunSuiteJSON exports.
+	suite *suiteDef
+	// run regenerates the figure: it returns the rendered text table and
+	// hands each metric to put under its manifest name (without the
+	// "<id>." prefix).
+	run func(o Options, put func(name string, v float64)) (string, error)
+}
+
+var figures = []figure{
+	{id: "table1", aliases: []string{"table-1", "1"}, prose: true, run: table1},
+	{id: "fig2", aliases: []string{"2"}, suite: fig2Suite, run: fig2Suite.run},
+	{id: "fig6", aliases: []string{"6"}, suite: fig6Suite, run: fig6Suite.run},
+	{id: "fig7", aliases: []string{"7"}, run: fig7},
+	{id: "fig8", aliases: []string{"8"}, run: fig8},
+	{id: "fig9", aliases: []string{"9"}, run: fig9},
+	{id: "fig10a", aliases: []string{"10a"}, run: fig10a},
+	{id: "fig10b", aliases: []string{"10b"}, run: fig10b},
+	{id: "fig11", aliases: []string{"11"}, run: fig11},
+	{id: "stats", run: sectionStats},
+}
+
+// FigureIDs lists the reproducible table/figure identifiers in
+// evaluation order.
+func FigureIDs() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}
+
+// lookupFigure resolves a figure id or alias ("fig10b", "10b", "Fig10B").
+func lookupFigure(id string) (*figure, bool) {
+	id = strings.ToLower(id)
+	for i := range figures {
+		if f := &figures[i]; f.id == id || slices.Contains(f.aliases, id) {
+			return f, true
+		}
+	}
+	return nil, false
+}
+
+// RunFigure regenerates one of the paper's tables or figures, named by id
+// or alias. It returns the rendered text table and the figure's metrics
+// under their run-manifest names ("fig7.norm_ipc.ConD[32,14]"); Table I
+// has no metrics.
+func RunFigure(id string, o Options) (string, map[string]float64, error) {
+	f, ok := lookupFigure(id)
+	if !ok {
+		return "", nil, fmt.Errorf("sim: unknown figure %q (known: %v)", id, FigureIDs())
+	}
+	return f.regenerate(o)
+}
+
+// regenerate runs the figure and names each metric "<id>.<name>", with the
+// spaces of spec labels ("SpecInO[2,1] All") turned into underscores.
+func (f *figure) regenerate(o Options) (string, map[string]float64, error) {
+	metrics := map[string]float64{}
+	text, err := f.run(o, func(name string, v float64) {
+		metrics[f.id+"."+strings.ReplaceAll(name, " ", "_")] = v
+	})
+	if err != nil {
+		return "", nil, err
+	}
+	return text, metrics, nil
+}
+
+// suiteDef is one per-app IPC suite (Figs. 2 and 6): the spec column
+// labels and the builder producing the specs for an app. The rendered
+// table, the manifest metrics and the raw-JSON export all run it.
 type suiteDef struct {
 	labels []string
 	mk     func(app string) []Spec
 }
 
-// figSuite returns the suite definition for the per-app IPC figures.
-func figSuite(fig string) (suiteDef, bool) {
-	switch fig {
-	case "fig2":
+var fig2Suite = &suiteDef{
+	labels: []string{"InO", "SpecInO[2,2] Non-mem", "SpecInO[2,2] All",
+		"SpecInO[2,1] Non-mem", "SpecInO[2,1] All", "OoO"},
+	mk: func(string) []Spec {
 		ws := func(w, so int, nonMem bool) *specino.Config {
 			c := specino.DefaultConfig(w, so)
 			c.NonMemOnly = nonMem
 			return &c
 		}
-		return suiteDef{
-			labels: []string{"InO", "SpecInO[2,2] Non-mem", "SpecInO[2,2] All",
-				"SpecInO[2,1] Non-mem", "SpecInO[2,1] All", "OoO"},
-			mk: func(string) []Spec {
-				return []Spec{
-					{Model: ModelInO},
-					{Model: ModelSpecInO, SpecInOCfg: ws(2, 2, true)},
-					{Model: ModelSpecInO, SpecInOCfg: ws(2, 2, false)},
-					{Model: ModelSpecInO, SpecInOCfg: ws(2, 1, true)},
-					{Model: ModelSpecInO, SpecInOCfg: ws(2, 1, false)},
-					{Model: ModelOoO},
-				}
-			},
-		}, true
-	case "fig6":
-		return suiteDef{
-			labels: []string{"InO", "LSC", "Freeway", "CASINO", "OoO"},
-			mk: func(string) []Spec {
-				return []Spec{
-					{Model: ModelInO},
-					{Model: ModelLSC},
-					{Model: ModelFreeway},
-					{Model: ModelCASINO},
-					{Model: ModelOoO},
-				}
-			},
-		}, true
-	}
-	return suiteDef{}, false
+		return []Spec{
+			{Model: ModelInO},
+			{Model: ModelSpecInO, SpecInOCfg: ws(2, 2, true)},
+			{Model: ModelSpecInO, SpecInOCfg: ws(2, 2, false)},
+			{Model: ModelSpecInO, SpecInOCfg: ws(2, 1, true)},
+			{Model: ModelSpecInO, SpecInOCfg: ws(2, 1, false)},
+			{Model: ModelOoO},
+		}
+	},
 }
 
-// Table1 renders the machine configurations (the paper's Table I).
-func Table1() *stats.Table {
+var fig6Suite = &suiteDef{
+	labels: []string{"InO", "LSC", "Freeway", "CASINO", "OoO"},
+	mk: func(string) []Spec {
+		return []Spec{
+			{Model: ModelInO},
+			{Model: ModelLSC},
+			{Model: ModelFreeway},
+			{Model: ModelCASINO},
+			{Model: ModelOoO},
+		}
+	},
+}
+
+// run reproduces a per-app IPC figure: Figure 2 (the SpecInO limit study)
+// or Figure 6 (LSC, Freeway, CASINO and OoO), each normalized to InO per
+// application plus geomean. Its metrics are the normalized geomean per
+// model — the paper's headline speedups — plus, per model label, the
+// across-app mean of every per-run registry metric (occupancy means,
+// stall counters, structure activity). The latter is what lets the golden
+// gate name the internal counter that moved, not just the IPC it moved.
+func (d *suiteDef) run(o Options, put func(string, float64)) (string, error) {
+	res, err := runMatrix(o, d.mk)
+	if err != nil {
+		return "", err
+	}
+	t, geo := normalizedIPCTable(o, d.labels, res)
+	for label, g := range geo {
+		put("norm_ipc_geomean."+label, g)
+	}
+	apps := o.apps()
+	for i, label := range d.labels {
+		agg := map[string]float64{}
+		cnt := map[string]int{}
+		for _, app := range apps {
+			r := res[app][i]
+			agg["ipc"] += r.IPC
+			cnt["ipc"]++
+			agg["energy_per_inst_pj"] += r.EnergyPerInst
+			cnt["energy_per_inst_pj"]++
+			for k, v := range r.Extra {
+				agg[k] += v
+				cnt[k]++
+			}
+		}
+		for k, v := range agg {
+			put(fmt.Sprintf("mean.%s.%s", label, k), v/float64(cnt[k]))
+		}
+	}
+	return t.String(), nil
+}
+
+// table1 renders the machine configurations (the paper's Table I).
+func table1(Options, func(string, float64)) (string, error) {
 	t := stats.NewTable("Parameter", "InO", "CASINO", "OoO")
 	t.AddRow("Core", "2-wide @ 2GHz", "2-wide @ 2GHz", "2-wide @ 2GHz")
 	t.AddRow("Pipeline depth", "7 stages", "9 stages", "9 stages")
@@ -179,34 +288,12 @@ func Table1() *stats.Table {
 	t.AddRow("L1I/L1D", "32 KiB 8-way, 4 cyc", "32 KiB 8-way, 4 cyc", "32 KiB 8-way, 4 cyc")
 	t.AddRow("L2", "1 MiB 16-way, 11 cyc + stride prefetch", "same", "same")
 	t.AddRow("DRAM", "DDR4-2400, 1 ch/1 rank/16 banks", "same", "same")
-	return t
-}
-
-// Fig2 reproduces Figure 2: the SpecInO limit study. Returns the table and
-// the geomean normalized IPC per scheduling model.
-func Fig2(o Options) (*stats.Table, map[string]float64, error) {
-	def, _ := figSuite("fig2")
-	res, err := runMatrix(o, def.mk)
-	if err != nil {
-		return nil, nil, err
-	}
-	return normalizedIPCTable(o, def.labels, res)
-}
-
-// Fig6 reproduces Figure 6: IPC of LSC, Freeway, CASINO and OoO normalized
-// to InO, per application plus geomean.
-func Fig6(o Options) (*stats.Table, map[string]float64, error) {
-	def, _ := figSuite("fig6")
-	res, err := runMatrix(o, def.mk)
-	if err != nil {
-		return nil, nil, err
-	}
-	return normalizedIPCTable(o, def.labels, res)
+	return t.String(), nil
 }
 
 // normalizedIPCTable builds a per-app table of IPCs normalized to the
 // first model, appending the geomean row, and returns the geomeans.
-func normalizedIPCTable(o Options, names []string, res map[string][]Result) (*stats.Table, map[string]float64, error) {
+func normalizedIPCTable(o Options, names []string, res map[string][]Result) (*stats.Table, map[string]float64) {
 	header := append([]string{"app"}, names...)
 	t := stats.NewTable(header...)
 	perModel := make([][]float64, len(names))
@@ -230,21 +317,14 @@ func normalizedIPCTable(o Options, names []string, res map[string][]Result) (*st
 		geoRow = append(geoRow, g)
 	}
 	t.AddRow(geoRow...)
-	return t, geo, nil
+	return t, geo
 }
 
-// Fig7Summary carries Figure 7's aggregates.
-type Fig7Summary struct {
-	// Geomean IPC normalized to ConV[32,14], and mean register
-	// allocations per cycle, per renaming scheme.
-	NormIPC     map[string]float64
-	AllocsPerKC map[string]float64 // allocations per 1000 cycles
-	// Issue-rate breakdown for ConD (fractions of committed instructions).
-	SpecMem, SpecNonMem, Mem, NonMem float64
-}
-
-// Fig7 reproduces Figure 7: conventional vs conditional renaming.
-func Fig7(o Options) (*stats.Table, Fig7Summary, error) {
+// fig7 reproduces Figure 7: conventional vs conditional renaming. Its
+// metrics are the geomean IPC normalized to ConV[32,14] and the mean
+// register allocations per 1000 cycles per renaming scheme, and ConD's
+// issue-rate breakdown (fractions of all issues, warm-up included).
+func fig7(o Options, put func(string, float64)) (string, error) {
 	conv := func(intN, fpN int) *core.Config {
 		c := core.DefaultConfig()
 		c.Renaming = core.RenameConventional
@@ -261,14 +341,13 @@ func Fig7(o Options) (*stats.Table, Fig7Summary, error) {
 		}
 	})
 	if err != nil {
-		return nil, Fig7Summary{}, err
+		return "", err
 	}
 	t := stats.NewTable("app", "ConV[32,14] IPC", "ConD[32,14] IPC", "ConV[48,24] IPC",
 		"ConV allocs/kc", "ConD allocs/kc")
-	sum := Fig7Summary{NormIPC: map[string]float64{}, AllocsPerKC: map[string]float64{}}
 	perModel := make([][]float64, 3)
 	allocs := make([][]float64, 3)
-	var sm, snm, m, nm, tot float64
+	var sm, snm, m, nm float64
 	for _, app := range o.apps() {
 		rs := res[app]
 		base := rs[0].IPC
@@ -286,29 +365,26 @@ func Fig7(o Options) (*stats.Table, Fig7Summary, error) {
 		m += rs[1].Extra["iqMem"]
 		nm += rs[1].Extra["iqNonMem"]
 	}
-	tot = sm + snm + m + nm // fractions of all issues (warm-up included)
 	for i, n := range names {
-		sum.NormIPC[n] = stats.Geomean(perModel[i])
-		sum.AllocsPerKC[n] = stats.Mean(allocs[i])
+		put("norm_ipc."+n, stats.Geomean(perModel[i]))
+		put("allocs_per_kc."+n, stats.Mean(allocs[i]))
 	}
-	if tot > 0 {
-		sum.SpecMem, sum.SpecNonMem, sum.Mem, sum.NonMem = sm/tot, snm/tot, m/tot, nm/tot
+	var frac [4]float64 // Sp-Mem, Sp-N-mem, Mem, N-mem
+	if tot := sm + snm + m + nm; tot > 0 {
+		frac = [4]float64{sm / tot, snm / tot, m / tot, nm / tot}
 	}
-	return t, sum, nil
+	put("issue_frac.spec_mem", frac[0])
+	put("issue_frac.spec_non_mem", frac[1])
+	put("issue_frac.mem", frac[2])
+	put("issue_frac.non_mem", frac[3])
+	return t.String() + fmt.Sprintf("\nissue breakdown (ConD): Sp-Mem=%.2f Sp-N-mem=%.2f Mem=%.2f N-mem=%.2f\n",
+		frac[0], frac[1], frac[2], frac[3]), nil
 }
 
-// Fig8Summary carries Figure 8's aggregates, normalized to the fully-OoO
-// (16-entry LQ) baseline.
-type Fig8Summary struct {
-	// Activity counts per 1k instructions.
-	LQReads, LQWrites, LQSearches map[string]float64
-	SQSearches                    map[string]float64
-	// Geomean IPC and energy efficiency normalized to Fully OoO.
-	NormIPC, NormEff map[string]float64
-}
-
-// Fig8 reproduces Figure 8: memory disambiguation schemes.
-func Fig8(o Options) (*stats.Table, Fig8Summary, error) {
+// fig8 reproduces Figure 8: memory disambiguation schemes. Its metrics are
+// the LQ/SQ activity per 1k instructions, and the geomean IPC and energy
+// efficiency normalized to the fully-OoO (16-entry LQ) baseline.
+func fig8(o Options, put func(string, float64)) (string, error) {
 	casino := func(d core.DisambigMode, osca int) *core.Config {
 		c := core.DefaultConfig()
 		c.Disambig = d
@@ -327,11 +403,7 @@ func Fig8(o Options) (*stats.Table, Fig8Summary, error) {
 		}
 	})
 	if err != nil {
-		return nil, Fig8Summary{}, err
-	}
-	sum := Fig8Summary{
-		LQReads: map[string]float64{}, LQWrites: map[string]float64{}, LQSearches: map[string]float64{},
-		SQSearches: map[string]float64{}, NormIPC: map[string]float64{}, NormEff: map[string]float64{},
+		return "", err
 	}
 	t := stats.NewTable("scheme", "LQ R/ki", "LQ W/ki", "LQ S/ki", "SQ S/ki", "norm IPC", "norm perf/energy")
 	perIPC := make([][]float64, len(names))
@@ -355,27 +427,23 @@ func Fig8(o Options) (*stats.Table, Fig8Summary, error) {
 	}
 	for i, n := range names {
 		ki := instr / 1000
-		sum.LQReads[n] = stats.Ratio(agg[i]["lqR"], ki)
-		sum.LQWrites[n] = stats.Ratio(agg[i]["lqW"], ki)
-		sum.LQSearches[n] = stats.Ratio(agg[i]["lqS"], ki)
-		sum.SQSearches[n] = stats.Ratio(agg[i]["sqS"], ki)
-		sum.NormIPC[n] = stats.Geomean(perIPC[i])
-		sum.NormEff[n] = stats.Geomean(perEff[i])
-		t.AddRow(n, sum.LQReads[n], sum.LQWrites[n], sum.LQSearches[n], sum.SQSearches[n],
-			sum.NormIPC[n], sum.NormEff[n])
+		lqR, lqW := stats.Ratio(agg[i]["lqR"], ki), stats.Ratio(agg[i]["lqW"], ki)
+		lqS, sqS := stats.Ratio(agg[i]["lqS"], ki), stats.Ratio(agg[i]["sqS"], ki)
+		ipc, eff := stats.Geomean(perIPC[i]), stats.Geomean(perEff[i])
+		put("lq_reads_per_ki."+n, lqR)
+		put("lq_writes_per_ki."+n, lqW)
+		put("lq_searches_per_ki."+n, lqS)
+		put("sq_searches_per_ki."+n, sqS)
+		put("norm_ipc."+n, ipc)
+		put("norm_perf_per_energy."+n, eff)
+		t.AddRow(n, lqR, lqW, lqS, sqS, ipc, eff)
 	}
-	return t, sum, nil
+	return t.String(), nil
 }
 
-// Fig9Summary carries Figure 9's aggregates normalized to InO.
-type Fig9Summary struct {
-	NormArea   map[string]float64
-	NormEnergy map[string]float64
-}
-
-// Fig9 reproduces Figure 9: core area and energy consumption for InO,
-// CASINO, OoO and OoO+NoLQ.
-func Fig9(o Options) (*stats.Table, Fig9Summary, error) {
+// fig9 reproduces Figure 9: core area and energy consumption for InO,
+// CASINO, OoO and OoO+NoLQ, normalized to InO.
+func fig9(o Options, put func(string, float64)) (string, error) {
 	names := []string{"InO", "CASINO", "OoO", "OoO+NoLQ"}
 	res, err := runMatrix(o, func(string) []Spec {
 		return []Spec{
@@ -386,9 +454,8 @@ func Fig9(o Options) (*stats.Table, Fig9Summary, error) {
 		}
 	})
 	if err != nil {
-		return nil, Fig9Summary{}, err
+		return "", err
 	}
-	sum := Fig9Summary{NormArea: map[string]float64{}, NormEnergy: map[string]float64{}}
 	energyTot := make([]float64, len(names))
 	var area [4]float64
 	for _, app := range o.apps() {
@@ -399,19 +466,19 @@ func Fig9(o Options) (*stats.Table, Fig9Summary, error) {
 	}
 	t := stats.NewTable("core", "area mm2", "norm area", "norm energy")
 	for i, n := range names {
-		sum.NormArea[n] = stats.Ratio(area[i], area[0])
-		sum.NormEnergy[n] = stats.Ratio(energyTot[i], energyTot[0])
-		t.AddRow(n, area[i], sum.NormArea[n], sum.NormEnergy[n])
+		normArea, normEnergy := stats.Ratio(area[i], area[0]), stats.Ratio(energyTot[i], energyTot[0])
+		put("norm_area."+n, normArea)
+		put("norm_energy."+n, normEnergy)
+		t.AddRow(n, area[i], normArea, normEnergy)
 	}
-	return t, sum, nil
+	return t.String(), nil
 }
 
-// Fig10a reproduces Figure 10a: IQ size sweep with the committed-issue
-// breakdown (S-Issue vs Issue). Returns size -> (normIPC, sIssueFrac).
-func Fig10a(o Options, sizes []int) (*stats.Table, map[int][2]float64, error) {
-	if len(sizes) == 0 {
-		sizes = []int{4, 8, 12, 16, 20}
-	}
+// fig10a reproduces Figure 10a: the IQ size sweep with the
+// committed-issue breakdown (S-Issue vs Issue), per size the geomean IPC
+// normalized to the smallest IQ and the mean S-Issue fraction.
+func fig10a(o Options, put func(string, float64)) (string, error) {
+	sizes := []int{4, 8, 12, 16, 20}
 	res, err := runMatrix(o, func(string) []Spec {
 		specs := make([]Spec, len(sizes))
 		for i, sz := range sizes {
@@ -427,15 +494,9 @@ func Fig10a(o Options, sizes []int) (*stats.Table, map[int][2]float64, error) {
 		return specs
 	})
 	if err != nil {
-		return nil, nil, err
+		return "", err
 	}
-	out := map[int][2]float64{}
 	t := stats.NewTable("IQ size", "norm IPC", "S-Issue frac")
-	var baseIPC []float64
-	for _, app := range o.apps() {
-		baseIPC = append(baseIPC, res[app][0].IPC)
-	}
-	_ = baseIPC
 	for i, sz := range sizes {
 		var norm, sfrac []float64
 		for _, app := range o.apps() {
@@ -444,15 +505,16 @@ func Fig10a(o Options, sizes []int) (*stats.Table, map[int][2]float64, error) {
 		}
 		g := stats.Geomean(norm)
 		f := stats.Mean(sfrac)
-		out[sz] = [2]float64{g, f}
+		put(fmt.Sprintf("norm_ipc.iq%d", sz), g)
+		put(fmt.Sprintf("s_issue_frac.iq%d", sz), f)
 		t.AddRow(sz, g, f)
 	}
-	return t, out, nil
+	return t.String(), nil
 }
 
-// Fig10b reproduces Figure 10b: the SpecInO[WS,SO] sweep on the CASINO
-// core. Returns "[w,s]" -> geomean IPC normalized to [1,1].
-func Fig10b(o Options) (*stats.Table, map[string]float64, error) {
+// fig10b reproduces Figure 10b: the SpecInO[WS,SO] sweep on the CASINO
+// core, as geomean IPC normalized to [1,1].
+func fig10b(o Options, put func(string, float64)) (string, error) {
 	type pt struct{ ws, so int }
 	pts := []pt{{1, 1}, {2, 1}, {2, 2}, {3, 1}, {3, 2}, {4, 1}, {4, 2}, {4, 4}}
 	res, err := runMatrix(o, func(string) []Spec {
@@ -465,9 +527,8 @@ func Fig10b(o Options) (*stats.Table, map[string]float64, error) {
 		return specs
 	})
 	if err != nil {
-		return nil, nil, err
+		return "", err
 	}
-	out := map[string]float64{}
 	t := stats.NewTable("[WS,SO]", "geomean IPC norm to [1,1]")
 	for i, p := range pts {
 		var norm []float64
@@ -475,23 +536,18 @@ func Fig10b(o Options) (*stats.Table, map[string]float64, error) {
 			norm = append(norm, stats.Ratio(res[app][i].IPC, res[app][0].IPC))
 		}
 		key := fmt.Sprintf("[%d,%d]", p.ws, p.so)
-		out[key] = stats.Geomean(norm)
-		t.AddRow(key, out[key])
+		g := stats.Geomean(norm)
+		put("norm_ipc."+key, g)
+		t.AddRow(key, g)
 	}
-	return t, out, nil
+	return t.String(), nil
 }
 
-// Fig11Summary holds per-width normalized performance and efficiency.
-type Fig11Summary struct {
-	// NormIPC and NormEff are indexed [model][width]; normalized to the
-	// 2-wide InO.
-	NormIPC map[string]map[int]float64
-	NormEff map[string]map[int]float64
-}
-
-// Fig11 reproduces Figure 11: 2/3/4-wide InO, CASINO and OoO.
-func Fig11(o Options) (*stats.Table, Fig11Summary, error) {
+// fig11 reproduces Figure 11: 2/3/4-wide InO, CASINO and OoO, with
+// performance and energy efficiency normalized to the 2-wide InO.
+func fig11(o Options, put func(string, float64)) (string, error) {
 	widths := []int{2, 3, 4}
+	models := []string{"InO", "CASINO", "OoO"}
 	mkInO := func(w int) *ino.Config {
 		c := ino.DefaultConfig()
 		scale := 1
@@ -508,7 +564,6 @@ func Fig11(o Options) (*stats.Table, Fig11Summary, error) {
 		return &c
 	}
 	var specs []Spec
-	var labels []string
 	for _, w := range widths {
 		ic := mkInO(w)
 		cc := core.WideConfig(w)
@@ -518,20 +573,13 @@ func Fig11(o Options) (*stats.Table, Fig11Summary, error) {
 			Spec{Model: ModelCASINO, CasinoCfg: &cc},
 			Spec{Model: ModelOoO, OoOCfg: &oc},
 		)
-		labels = append(labels,
-			fmt.Sprintf("InO-%dw", w), fmt.Sprintf("CASINO-%dw", w), fmt.Sprintf("OoO-%dw", w))
 	}
 	res, err := runMatrix(o, func(string) []Spec { return specs })
 	if err != nil {
-		return nil, Fig11Summary{}, err
-	}
-	sum := Fig11Summary{NormIPC: map[string]map[int]float64{}, NormEff: map[string]map[int]float64{}}
-	for _, m := range []string{"InO", "CASINO", "OoO"} {
-		sum.NormIPC[m] = map[int]float64{}
-		sum.NormEff[m] = map[int]float64{}
+		return "", err
 	}
 	t := stats.NewTable("config", "norm IPC", "norm perf/energy")
-	for i, lbl := range labels {
+	for i := range specs {
 		var nIPC, nEff []float64
 		for _, app := range o.apps() {
 			base := res[app][0] // 2-wide InO
@@ -539,19 +587,18 @@ func Fig11(o Options) (*stats.Table, Fig11Summary, error) {
 			nEff = append(nEff, stats.Ratio(res[app][i].PerfPerEnergy, base.PerfPerEnergy))
 		}
 		gI, gE := stats.Geomean(nIPC), stats.Geomean(nEff)
-		model := []string{"InO", "CASINO", "OoO"}[i%3]
-		width := widths[i/3]
-		sum.NormIPC[model][width] = gI
-		sum.NormEff[model][width] = gE
-		t.AddRow(lbl, gI, gE)
+		model, width := models[i%3], widths[i/3]
+		put(fmt.Sprintf("norm_ipc.%s.%dw", model, width), gI)
+		put(fmt.Sprintf("norm_perf_per_energy.%s.%dw", model, width), gE)
+		t.AddRow(fmt.Sprintf("%s-%dw", model, width), gI, gE)
 	}
-	return t, sum, nil
+	return t.String(), nil
 }
 
-// SectionStats reports the §II-C / §VI-B aggregate statistics: the
+// sectionStats reports the §II-C / §VI-B aggregate statistics: the
 // fraction of dynamic instructions issued speculatively, and the mean
 // producer distance of passed instructions.
-func SectionStats(o Options) (*stats.Table, map[string]float64, error) {
+func sectionStats(o Options, put func(string, float64)) (string, error) {
 	res, err := runMatrix(o, func(string) []Spec {
 		return []Spec{
 			{Model: ModelCASINO},
@@ -559,7 +606,7 @@ func SectionStats(o Options) (*stats.Table, map[string]float64, error) {
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return "", err
 	}
 	var siq, dist, specFrac []float64
 	t := stats.NewTable("app", "CASINO S-IQ frac", "producer dist", "SpecInO OoO frac")
@@ -570,11 +617,10 @@ func SectionStats(o Options) (*stats.Table, map[string]float64, error) {
 		specFrac = append(specFrac, rs[1].Extra["oooFrac"])
 		t.AddRow(app, rs[0].Extra["siqFrac"], rs[0].Extra["producerDist"], rs[1].Extra["oooFrac"])
 	}
-	out := map[string]float64{
-		"casinoSIQFrac":  stats.Mean(siq),
-		"producerDist":   stats.Mean(dist),
-		"specInOOoOFrac": stats.Mean(specFrac),
-	}
-	t.AddRow("mean", out["casinoSIQFrac"], out["producerDist"], out["specInOOoOFrac"])
-	return t, out, nil
+	mSIQ, mDist, mSpec := stats.Mean(siq), stats.Mean(dist), stats.Mean(specFrac)
+	put("casinoSIQFrac", mSIQ)
+	put("producerDist", mDist)
+	put("specInOOoOFrac", mSpec)
+	t.AddRow("mean", mSIQ, mDist, mSpec)
+	return t.String(), nil
 }

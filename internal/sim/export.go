@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 )
 
@@ -20,21 +21,15 @@ type SuiteResult struct {
 // diffing). Supported figures: fig2, fig6 (the per-app IPC suites); the
 // spec columns are the same suite definitions the figure tables render.
 func RunSuiteJSON(fig string, o Options) (*SuiteResult, error) {
-	def, ok := figSuite(fig)
-	if !ok {
-		return nil, errUnknownSuite(fig)
+	f, ok := lookupFigure(fig)
+	if !ok || f.suite == nil {
+		return nil, fmt.Errorf("sim: no JSON suite for figure %s (supported: fig2, fig6)", fig)
 	}
-	res, err := runMatrix(o, def.mk)
+	res, err := runMatrix(o, f.suite.mk)
 	if err != nil {
 		return nil, err
 	}
-	return &SuiteResult{Figure: fig, Options: o, Results: res, Labels: def.labels}, nil
-}
-
-type errUnknownSuite string
-
-func (e errUnknownSuite) Error() string {
-	return "sim: no JSON suite for figure " + string(e) + " (supported: fig2, fig6)"
+	return &SuiteResult{Figure: f.id, Options: o, Results: res, Labels: f.suite.labels}, nil
 }
 
 // ExportJSON writes the suite result as indented JSON.

@@ -2,38 +2,44 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
-	"sort"
-	"strings"
 	"time"
 
 	"casino/internal/manifest"
 )
 
-// manifestFigures are the figure ids BuildManifest("all", …) covers: every
-// evaluation figure with numeric output (Table I is prose-only).
-var manifestFigures = []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig11", "stats"}
-
-// ManifestFigures returns the figure ids covered by BuildManifest("all").
+// ManifestFigures returns the figure ids BuildManifest("all") covers:
+// every evaluation figure with numeric output (Table I is prose-only).
 func ManifestFigures() []string {
-	return append([]string(nil), manifestFigures...)
+	var ids []string
+	for _, f := range figures {
+		if !f.prose {
+			ids = append(ids, f.id)
+		}
+	}
+	return ids
 }
 
-// BuildManifest runs the requested figure (or "all") and returns the
-// versioned run manifest: the resolved spec, the fingerprint of every
-// workload trace replayed, and the flat metric map the golden-stats CI
-// gate diffs. Wall time and allocation totals are recorded for trend
-// tracking but never compared.
+// BuildManifest runs the requested figure (an id or alias, or "all") and
+// returns the versioned run manifest: the resolved spec, the fingerprint
+// of every workload trace replayed, and the flat metric map the
+// golden-stats CI gate diffs. Wall time and allocation totals are recorded
+// for trend tracking but never compared.
 func BuildManifest(fig string, o Options) (*manifest.Manifest, error) {
-	fig = canonicalFigure(fig)
-	figs := []string{fig}
+	var figs []*figure
 	if fig == "all" {
-		figs = manifestFigures
-	}
-	for _, f := range figs {
-		if !knownManifestFigure(f) {
-			return nil, fmt.Errorf("sim: no manifest for figure %q (known: %v, or 'all')", f, manifestFigures)
+		for i := range figures {
+			if !figures[i].prose {
+				figs = append(figs, &figures[i])
+			}
 		}
+	} else {
+		f, ok := lookupFigure(fig)
+		if !ok || f.prose {
+			return nil, fmt.Errorf("sim: no manifest for figure %q (known: %v, or 'all')", fig, ManifestFigures())
+		}
+		figs, fig = []*figure{f}, f.id
 	}
 
 	start := time.Now()
@@ -62,168 +68,15 @@ func BuildManifest(fig string, o Options) (*manifest.Manifest, error) {
 	}
 
 	for _, f := range figs {
-		if err := figureMetrics(f, o, m.Metrics); err != nil {
-			return nil, fmt.Errorf("sim: manifest %s: %w", f, err)
+		_, metrics, err := f.regenerate(o)
+		if err != nil {
+			return nil, fmt.Errorf("sim: manifest %s: %w", f.id, err)
 		}
+		maps.Copy(m.Metrics, metrics)
 	}
 
 	runtime.ReadMemStats(&ms1)
 	m.WallSeconds = time.Since(start).Seconds()
 	m.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
 	return m, nil
-}
-
-// canonicalFigure maps the CLI's short figure aliases ("6", "10a") onto
-// the canonical "figN" ids used in manifests.
-func canonicalFigure(f string) string {
-	if f == "all" || knownManifestFigure(f) {
-		return f
-	}
-	if knownManifestFigure("fig" + f) {
-		return "fig" + f
-	}
-	return f
-}
-
-func knownManifestFigure(f string) bool {
-	for _, k := range manifestFigures {
-		if f == k {
-			return true
-		}
-	}
-	return false
-}
-
-// metricLabel makes a spec label metric-name friendly (no spaces).
-func metricLabel(label string) string {
-	return strings.ReplaceAll(label, " ", "_")
-}
-
-// figureMetrics runs one figure and flattens its aggregates into out.
-func figureMetrics(fig string, o Options, out map[string]float64) error {
-	put := func(name string, v float64) { out[fig+"."+name] = v }
-	switch fig {
-	case "fig2", "fig6":
-		return suiteMetrics(fig, o, put)
-	case "fig7":
-		_, sum, err := Fig7(o)
-		if err != nil {
-			return err
-		}
-		putMap(put, "norm_ipc.", sum.NormIPC)
-		putMap(put, "allocs_per_kc.", sum.AllocsPerKC)
-		put("issue_frac.spec_mem", sum.SpecMem)
-		put("issue_frac.spec_non_mem", sum.SpecNonMem)
-		put("issue_frac.mem", sum.Mem)
-		put("issue_frac.non_mem", sum.NonMem)
-	case "fig8":
-		_, sum, err := Fig8(o)
-		if err != nil {
-			return err
-		}
-		putMap(put, "lq_reads_per_ki.", sum.LQReads)
-		putMap(put, "lq_writes_per_ki.", sum.LQWrites)
-		putMap(put, "lq_searches_per_ki.", sum.LQSearches)
-		putMap(put, "sq_searches_per_ki.", sum.SQSearches)
-		putMap(put, "norm_ipc.", sum.NormIPC)
-		putMap(put, "norm_perf_per_energy.", sum.NormEff)
-	case "fig9":
-		_, sum, err := Fig9(o)
-		if err != nil {
-			return err
-		}
-		putMap(put, "norm_area.", sum.NormArea)
-		putMap(put, "norm_energy.", sum.NormEnergy)
-	case "fig10a":
-		_, out10, err := Fig10a(o, nil)
-		if err != nil {
-			return err
-		}
-		for sz, v := range out10 {
-			put(fmt.Sprintf("norm_ipc.iq%d", sz), v[0])
-			put(fmt.Sprintf("s_issue_frac.iq%d", sz), v[1])
-		}
-	case "fig10b":
-		_, out10, err := Fig10b(o)
-		if err != nil {
-			return err
-		}
-		putMap(put, "norm_ipc.", out10)
-	case "fig11":
-		_, sum, err := Fig11(o)
-		if err != nil {
-			return err
-		}
-		for model, byWidth := range sum.NormIPC {
-			for w, v := range byWidth {
-				put(fmt.Sprintf("norm_ipc.%s.%dw", metricLabel(model), w), v)
-			}
-		}
-		for model, byWidth := range sum.NormEff {
-			for w, v := range byWidth {
-				put(fmt.Sprintf("norm_perf_per_energy.%s.%dw", metricLabel(model), w), v)
-			}
-		}
-	case "stats":
-		_, sum, err := SectionStats(o)
-		if err != nil {
-			return err
-		}
-		putMap(put, "", sum)
-	default:
-		return fmt.Errorf("unknown figure %q", fig)
-	}
-	return nil
-}
-
-func putMap(put func(string, float64), prefix string, m map[string]float64) {
-	for k, v := range m {
-		put(prefix+metricLabel(k), v)
-	}
-}
-
-// suiteMetrics covers the per-app IPC suites (fig2/fig6): the normalized
-// geomean per model — the paper's headline speedups — plus, per model
-// label, the across-app mean of every per-run registry metric (occupancy
-// means, stall counters, structure activity). The latter is what lets the
-// golden gate name the internal counter that moved, not just the IPC it
-// moved.
-func suiteMetrics(fig string, o Options, put func(string, float64)) error {
-	def, _ := figSuite(fig)
-	res, err := runMatrix(o, def.mk)
-	if err != nil {
-		return err
-	}
-	_, geo, err := normalizedIPCTable(o, def.labels, res)
-	if err != nil {
-		return err
-	}
-	for label, g := range geo {
-		put("norm_ipc_geomean."+metricLabel(label), g)
-	}
-	apps := o.apps()
-	for i, label := range def.labels {
-		agg := map[string]float64{}
-		cnt := map[string]int{}
-		for _, app := range apps {
-			r := res[app][i]
-			agg["ipc"] += r.IPC
-			cnt["ipc"]++
-			agg["energy_per_inst_pj"] += r.EnergyPerInst
-			cnt["energy_per_inst_pj"]++
-			for k, v := range r.Extra {
-				agg[k] += v
-				cnt[k]++
-			}
-		}
-		names := make([]string, 0, len(agg))
-		for k := range agg {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			put(fmt.Sprintf("mean.%s.%s", metricLabel(label), k), agg[k]/float64(cnt[k]))
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -100,6 +101,40 @@ func TestBuildManifestPerturbationIsNamed(t *testing.T) {
 
 func TestBuildManifestUnknownFigure(t *testing.T) {
 	if _, err := BuildManifest("table1", Options{}); err == nil {
+		t.Error("unknown figure accepted")
+	}
+}
+
+// Every figure id and alias, in any case, names the same figure for the
+// text tables and for the run manifest: RunFigure and BuildManifest agree
+// on the figure and on its metrics. Table I renders but has no manifest.
+func TestFigureNamesResolveAlikeForManifest(t *testing.T) {
+	o := Options{Apps: []string{"gcc"}, Ops: 400, Warmup: 100, Seed: 1}
+	for _, f := range figures {
+		for _, name := range append([]string{f.id, strings.ToUpper(f.id)}, f.aliases...) {
+			text, metrics, err := RunFigure(name, o)
+			if err != nil || text == "" {
+				t.Errorf("RunFigure(%q): %v", name, err)
+				continue
+			}
+			m, err := BuildManifest(name, o)
+			if f.prose {
+				if err == nil {
+					t.Errorf("BuildManifest(%q) accepted a prose table", name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("BuildManifest(%q): %v", name, err)
+				continue
+			}
+			if m.Figure != f.id || len(metrics) == 0 || !maps.Equal(m.Metrics, metrics) {
+				t.Errorf("BuildManifest(%q) = figure %q with %d metrics, RunFigure gave %d for %q",
+					name, m.Figure, len(m.Metrics), len(metrics), f.id)
+			}
+		}
+	}
+	if _, _, err := RunFigure("fig99", o); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }

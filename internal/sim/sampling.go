@@ -27,7 +27,6 @@ import (
 	"math"
 
 	"casino/internal/bpred"
-	"casino/internal/energy"
 	"casino/internal/isa"
 	"casino/internal/mem"
 	"casino/internal/ptrace"
@@ -209,34 +208,19 @@ func runSampled(s Spec) (Result, error) {
 	if s.TraceSink != nil {
 		return Result{}, fmt.Errorf("sim: pipeline tracing requires full fidelity; Sampling and TraceSink are mutually exclusive")
 	}
-	tr := s.Trace
-	if tr == nil {
-		var err error
-		tr, err = SharedTrace(s.Workload, s.Warmup+s.Ops, s.Seed)
-		if err != nil {
-			return Result{}, err
-		}
+	r, err := newRunner(s)
+	if err != nil {
+		return Result{}, err
 	}
+	tr, hier, acct := r.tr, r.hier, r.acct
 
-	target := s.Warmup + s.Ops
-	if target > tr.Len() {
-		target = tr.Len()
-	}
-	warm := s.Warmup
-	if warm > target {
-		warm = target
-	}
+	target := min(s.Warmup+s.Ops, tr.Len())
+	warm := min(s.Warmup, target)
 	region := target - warm
 	if region < sp.DetailOps {
 		return Result{}, fmt.Errorf("sim: %s/%s measured region (%d ops) smaller than one detailed window (%d); shrink Sampling.DetailOps or run full fidelity",
 			s.Model, tr.Name, region, sp.DetailOps)
 	}
-
-	memCfg := mem.DefaultConfig()
-	if s.MemCfg != nil {
-		memCfg = *s.MemCfg
-	}
-	hier := getHierarchy(memCfg)
 	pred := bpred.NewPredictor()
 
 	// The run-level warmup is replayed functionally in its entirety: it
@@ -259,10 +243,6 @@ func runSampled(s Spec) (Result, error) {
 		ffJumps      uint64
 		ffSkipped    uint64
 	)
-	// One accountant serves every window: the per-window model rebuild
-	// re-registers its structures after a Rewind, so the final window leaves
-	// the same registrations a fresh accountant would hold.
-	acct := energy.NewAccountant()
 	// DRAM backlog payments before the measured region starts are warmup,
 	// not estimate.
 	prefixStall := hier.Warm.DRAMStall
@@ -296,55 +276,31 @@ func runSampled(s Spec) (Result, error) {
 		// backlog into the new clock, clear the MSHR occupancy a clock
 		// restart invalidates, keep everything warming maintains.
 		hier.ResetTiming(w.vt)
+		// One accountant serves every window: the per-window model rebuild
+		// re-registers its structures after a Rewind, so the final window
+		// leaves the same registrations a fresh accountant would hold.
 		acct.Rewind()
-		c, _, err := build(s, tr, wstart, pred, hier, acct)
+		win, err := r.window(wstart, pred, uint64(sp.WarmOps), uint64(sp.DetailOps))
 		if err != nil {
 			return Result{}, err
 		}
-		ev, _ := c.(eventDriven)
-		if s.DisableFastForward {
-			ev = nil
+		c := win.c
+		ffJumps += win.ffJumps
+		ffSkipped += win.ffSkipped
+		cts := c.CPIStack().Counts
+		for b := range cts {
+			cpiSum[b] += cts[b] - win.cpi0[b]
 		}
-		var cyc0 int64
-		var dyn0 float64
-		var commit0 uint64
-		var cpi0 [ptrace.NumBuckets]uint64
-		pt, _ := c.(pipeTracer)
-		j, sk := drive(c, ev, uint64(sp.WarmOps), uint64(sp.DetailOps), func() {
-			cyc0 = c.Now()
-			dyn0 = acct.DynamicEnergy()
-			commit0 = c.Committed()
-			if pt != nil {
-				cpi0 = pt.CPIStack().Counts
-			}
-		})
-		ffJumps += j
-		ffSkipped += sk
-		if c.Committed() < uint64(sp.DetailOps) && !c.Done() {
-			return Result{}, fmt.Errorf("sim: %s/%s sampled window at op %d exceeded cycle cap at %d committed",
-				s.Model, tr.Name, wstart, c.Committed())
-		}
-		if pt != nil {
-			// Same CPI-stack invariant as a full run, held per window.
-			if err := pt.CPIStack().Check(uint64(c.Now())); err != nil {
-				return Result{}, fmt.Errorf("sim: %s/%s sampled window at op %d: %w", s.Model, tr.Name, wstart, err)
-			}
-			cts := pt.CPIStack().Counts
-			for b := range cts {
-				cpiSum[b] += cts[b] - cpi0[b]
-			}
-		}
-		simulatedCycles.Add(uint64(c.Now()))
-		wi := c.Committed() - commit0
-		wc := uint64(c.Now() - cyc0)
+		wi := c.Committed() - win.commit0
+		wc := uint64(c.Now() - win.cyc0)
 		if wi == 0 || wc == 0 {
 			return Result{}, fmt.Errorf("sim: %s/%s sampled window at op %d measured nothing (detail_ops %d, warm_ops %d)",
 				s.Model, tr.Name, wstart, sp.DetailOps, sp.WarmOps)
 		}
 		detailInstr += wi
 		detailCycles += wc
-		prefixOps += commit0
-		dynSum += acct.DynamicEnergy() - dyn0
+		prefixOps += win.commit0
+		dynSum += acct.DynamicEnergy() - win.dyn0
 		ipcs = append(ipcs, float64(wi)/float64(wc))
 		acct.AccumulateEnergy(energySum)
 
@@ -438,12 +394,8 @@ func runSampled(s Spec) (Result, error) {
 		Instructions: uint64(region),
 		Cycles:       estCycles,
 		IPC:          ipc,
-		DynamicPJ:    dyn,
-		StaticPJ:     static,
-		TotalPJ:      dyn + static,
 		AreaMM2:      acct.Area(),
 		Extra:        reg.Flatten(),
-		Metrics:      reg.Metrics(),
 		EnergyParts:  parts,
 		AreaParts:    acct.AreaBreakdown(),
 		Sampled: &SampledStats{
@@ -461,12 +413,7 @@ func runSampled(s Spec) (Result, error) {
 			DetailFraction: float64(detailInstr) / float64(region),
 		},
 	}
-	if region > 0 {
-		res.EnergyPerInst = res.TotalPJ / float64(region)
-	}
-	if res.EnergyPerInst > 0 {
-		res.PerfPerEnergy = res.IPC / (res.EnergyPerInst / 1000) // IPC per nJ/inst
-	}
+	res.setEnergy(dyn, static, uint64(region))
 	bpred.Recycle(pred)
 	putHierarchy(hier)
 	return res, nil

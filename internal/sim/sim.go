@@ -44,40 +44,39 @@ func Models() []string {
 	return []string{ModelInO, ModelOoO, ModelOoONoLQ, ModelCASINO, ModelLSC, ModelFreeway, ModelSpecInO}
 }
 
-// Core is the clock-steppable interface every model implements.
+// Core is the surface the driver runs every model through; all five
+// repository models implement all of it.
+//
+// The event-driven clock: NextWake returns the earliest cycle >= Now() at
+// which the core might make progress — an O(1) consult of the model's
+// shared wakeup queue plus its streaming pre-checks, never a scheduler
+// scan. FastForward runs one real Cycle() and, if it proved idle, jumps the
+// clock toward `to` with exact batched accounting, returning false when
+// the cycle changed state and stands as a normal cycle. WakeStats exposes
+// the wakeup queue's activity counters for the run manifest, and
+// ProgressSignature folds the model's progress counters into one value.
+// The driver consults the queue only after a cycle whose signature did not
+// move, which is what makes jump attempts almost never bail (see
+// DESIGN.md, "Clock & event model"); the property tests compare it across
+// an event-driven core and a stepped replica.
+//
+// Observability: SetPipeTrace installs a pipeline-event recorder (nil
+// turns tracing off) and CPIStack exposes the per-cycle stall attribution.
+// Recycle returns the model's pooled state at end of run.
 type Core interface {
 	Cycle()
 	Now() int64
 	Committed() uint64
 	Done() bool
-}
 
-// pipeTracer is the observability interface every repository model
-// implements: SetPipeTrace installs a pipeline-event recorder (nil turns
-// tracing off) and CPIStack exposes the per-cycle stall attribution.
-type pipeTracer interface {
-	SetPipeTrace(*ptrace.Recorder)
-	CPIStack() *ptrace.CPI
-}
-
-// eventDriven is the optional event-driven clock interface a core may
-// implement (all five repository models do). NextWake returns the earliest
-// cycle >= Now() at which the core might make progress — an O(1) consult of
-// the model's shared wakeup queue plus its streaming pre-checks, never a
-// scheduler scan. FastForward runs one real Cycle() and, if it proved idle,
-// jumps the clock toward `to` with exact batched accounting, returning
-// false when the cycle changed state and stands as a normal cycle.
-// WakeStats exposes the wakeup queue's activity counters for the run
-// manifest, and ProgressSignature folds the model's progress counters into
-// one value. The driver consults the queue only after a cycle whose
-// signature did not move, which is what makes jump attempts almost never
-// bail (see DESIGN.md, "Clock & event model"); the property tests compare
-// it across an event-driven core and a stepped replica.
-type eventDriven interface {
 	NextWake() int64
 	FastForward(to int64) bool
 	WakeStats() eventq.Stats
 	ProgressSignature() uint64
+
+	SetPipeTrace(*ptrace.Recorder)
+	CPIStack() *ptrace.CPI
+	Recycle()
 }
 
 // simulatedCycles accumulates the total simulated cycles (including
@@ -154,10 +153,6 @@ type Result struct {
 	// Histograms appear as <name>.mean / <name>.count pairs.
 	Extra map[string]float64
 
-	// Metrics is the typed view of the same registry snapshot, in
-	// publish order.
-	Metrics []stats.Metric `json:"Metrics,omitempty"`
-
 	// EnergyParts and AreaParts break the totals down per structure /
 	// fixed block (the data behind the paper's stacked bars in Fig. 9).
 	EnergyParts map[string]float64
@@ -186,117 +181,160 @@ func Run(s Spec) (Result, error) {
 	if s.Sampling != nil {
 		return runSampled(s)
 	}
-	tr := s.Trace
-	if tr == nil {
-		// Resolve through the process-wide cache: repeated runs of the
-		// same (workload, length, seed) — every figure sweep — share one
-		// generated trace. Traces are read-only once published (see the
-		// trace package contract), so sharing across goroutines is safe.
-		var err error
-		tr, err = SharedTrace(s.Workload, s.Warmup+s.Ops, s.Seed)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	memCfg := mem.DefaultConfig()
-	if s.MemCfg != nil {
-		memCfg = *s.MemCfg
-	}
-	hier := getHierarchy(memCfg)
-	acct := energy.NewAccountant()
-
-	c, publish, err := build(s, tr, 0, nil, hier, acct)
+	r, err := newRunner(s)
 	if err != nil {
 		return Result{}, err
 	}
-
-	target := uint64(s.Warmup + s.Ops)
-	if target > uint64(tr.Len()) {
-		target = uint64(tr.Len())
+	target := min(uint64(s.Warmup+s.Ops), uint64(r.tr.Len()))
+	warm := min(uint64(s.Warmup), target)
+	w, err := r.window(0, nil, warm, target)
+	if err != nil {
+		return Result{}, err
 	}
-	warm := uint64(s.Warmup)
-	if warm > target {
-		warm = target
-	}
-
-	var cyc0 int64
-	var dyn0 float64
-	ev, _ := c.(eventDriven)
-	if s.DisableFastForward {
-		ev = nil
-	}
-	if s.TraceSink != nil {
-		pt, ok := c.(pipeTracer)
-		if !ok {
-			return Result{}, fmt.Errorf("sim: model %q does not support pipeline tracing", s.Model)
-		}
-		pt.SetPipeTrace(ptrace.NewRecorder(s.TraceSink, s.TraceWindow))
-		ev = nil // trace every cycle; the event engine would elide the idle ones
-	}
-	ffJumps, ffSkipped := drive(c, ev, warm, target, func() {
-		cyc0 = c.Now()
-		dyn0 = acct.DynamicEnergy()
-	})
-	if c.Committed() < target && !c.Done() {
-		return Result{}, fmt.Errorf("sim: %s/%s exceeded cycle cap at %d committed", s.Model, tr.Name, c.Committed())
-	}
-
-	if pt, ok := c.(pipeTracer); ok {
-		// CPI-stack invariant: every simulated cycle (fast-forwarded ones
-		// included) attributed to exactly one bucket.
-		if err := pt.CPIStack().Check(uint64(c.Now())); err != nil {
-			return Result{}, fmt.Errorf("sim: %s/%s: %w", s.Model, tr.Name, err)
-		}
-	}
-	simulatedCycles.Add(uint64(c.Now()))
-	cycles := uint64(c.Now() - cyc0)
+	c, acct := w.c, r.acct
+	cycles := uint64(c.Now() - w.cyc0)
 	instrs := c.Committed() - warm
-	dyn := acct.DynamicEnergy() - dyn0
+	dyn := acct.DynamicEnergy() - w.dyn0
 	static := acct.StaticEnergyOver(cycles)
 	reg := stats.NewRegistry()
-	publish(reg)
+	w.publish(reg)
 	acct.PublishMetrics(reg)
-	reg.Counter("ff.jumps", ffJumps)
-	reg.Counter("ff.skipped_cycles", ffSkipped)
-	reg.SetRatio("ff.coverage", float64(ffSkipped), float64(c.Now()))
-	if ev != nil {
-		es := ev.WakeStats()
+	reg.Counter("ff.jumps", w.ffJumps)
+	reg.Counter("ff.skipped_cycles", w.ffSkipped)
+	reg.SetRatio("ff.coverage", float64(w.ffSkipped), float64(c.Now()))
+	if r.fastForward() {
+		es := c.WakeStats()
 		reg.Counter("evq.wakeups", es.Wakeups)
 		reg.Counter("evq.coalesced", es.Coalesced)
-		reg.Counter("evq.batched_cycles", ffSkipped)
+		reg.Counter("evq.batched_cycles", w.ffSkipped)
 		reg.Counter("evq.heap_max", uint64(es.HeapMax))
 	}
 	res := Result{
 		Model:        s.Model,
-		Workload:     tr.Name,
+		Workload:     r.tr.Name,
 		Instructions: instrs,
 		Cycles:       cycles,
-		DynamicPJ:    dyn,
-		StaticPJ:     static,
-		TotalPJ:      dyn + static,
 		AreaMM2:      acct.Area(),
 		Extra:        reg.Flatten(),
-		Metrics:      reg.Metrics(),
 		EnergyParts:  acct.EnergyBreakdown(),
 		AreaParts:    acct.AreaBreakdown(),
 	}
 	if cycles > 0 {
 		res.IPC = float64(instrs) / float64(cycles)
 	}
+	res.setEnergy(dyn, static, instrs)
+	// Everything the result needs has been snapshotted: recycle the run's
+	// pooled state so sweep shards and figure matrices stop re-allocating
+	// (and re-GCing) cache arrays and predictor tables per cell.
+	c.Recycle()
+	putHierarchy(r.hier)
+	return res, nil
+}
+
+// setEnergy fills the energy totals and the per-instruction ratios from a
+// run's dynamic and static energy over instrs committed instructions. IPC
+// must already be set.
+func (res *Result) setEnergy(dyn, static float64, instrs uint64) {
+	res.DynamicPJ, res.StaticPJ, res.TotalPJ = dyn, static, dyn+static
 	if instrs > 0 {
 		res.EnergyPerInst = res.TotalPJ / float64(instrs)
 	}
 	if res.EnergyPerInst > 0 {
 		res.PerfPerEnergy = res.IPC / (res.EnergyPerInst / 1000) // IPC per nJ/inst
 	}
-	// Everything the result needs has been snapshotted: recycle the run's
-	// pooled state so sweep shards and figure matrices stop re-allocating
-	// (and re-GCing) cache arrays and predictor tables per cell.
-	if r, ok := c.(recycler); ok {
-		r.Recycle()
+}
+
+// runner holds what every detailed window of one run shares: the spec,
+// its resolved trace, the memory hierarchy and the energy accountant. A
+// full-fidelity run is one window over the whole trace; a sampled run
+// opens one window per sampling period (sampling.go).
+type runner struct {
+	s    Spec
+	tr   *trace.Trace
+	hier *mem.Hierarchy
+	acct *energy.Accountant
+}
+
+// newRunner resolves the spec's trace and takes a memory hierarchy from
+// the pool. Without an explicit trace it resolves through the
+// process-wide cache: repeated runs of the same (workload, length, seed) —
+// every figure sweep — share one generated trace. Traces are read-only
+// once published (see the trace package contract), so sharing across
+// goroutines is safe.
+func newRunner(s Spec) (*runner, error) {
+	tr := s.Trace
+	if tr == nil {
+		var err error
+		if tr, err = SharedTrace(s.Workload, s.Warmup+s.Ops, s.Seed); err != nil {
+			return nil, err
+		}
 	}
-	putHierarchy(hier)
-	return res, nil
+	memCfg := mem.DefaultConfig()
+	if s.MemCfg != nil {
+		memCfg = *s.MemCfg
+	}
+	return &runner{s: s, tr: tr, hier: getHierarchy(memCfg), acct: energy.NewAccountant()}, nil
+}
+
+// fastForward reports whether the driver may jump idle cycles: not when
+// the spec asks for stepping, and not when tracing, which wants to observe
+// the idle cycles rather than summarize them.
+func (r *runner) fastForward() bool {
+	return !r.s.DisableFastForward && r.s.TraceSink == nil
+}
+
+// window is one driven detailed window: the model, the publisher of its
+// metrics, its state at the measurement snapshot, and its fast-forward
+// accounting.
+type window struct {
+	c       Core
+	publish func(*stats.Registry)
+
+	cyc0    int64
+	dyn0    float64
+	commit0 uint64
+	cpi0    [ptrace.NumBuckets]uint64
+
+	ffJumps, ffSkipped uint64
+}
+
+// window builds the model at trace position start with an injected
+// predictor (nil = fresh) and drives it until target micro-ops have
+// committed, snapshotting the measurement start once warm have. It checks
+// the cycle cap and the CPI-stack invariant — every simulated cycle,
+// fast-forwarded ones included, attributed to exactly one bucket — and
+// counts the window's cycles into SimulatedCycles.
+func (r *runner) window(start int, pred *bpred.Predictor, warm, target uint64) (*window, error) {
+	c, publish, err := build(r.s, r.tr, start, pred, r.hier, r.acct)
+	if err != nil {
+		return nil, err
+	}
+	if r.s.TraceSink != nil {
+		c.SetPipeTrace(ptrace.NewRecorder(r.s.TraceSink, r.s.TraceWindow))
+	}
+	w := &window{c: c, publish: publish}
+	w.ffJumps, w.ffSkipped = drive(c, r.fastForward(), warm, target, func() {
+		w.cyc0 = c.Now()
+		w.dyn0 = r.acct.DynamicEnergy()
+		w.commit0 = c.Committed()
+		w.cpi0 = c.CPIStack().Counts
+	})
+	if c.Committed() < target && !c.Done() {
+		return nil, fmt.Errorf("sim: %s exceeded cycle cap at %d committed", r.where(start), c.Committed())
+	}
+	if err := c.CPIStack().Check(uint64(c.Now())); err != nil {
+		return nil, fmt.Errorf("sim: %s: %w", r.where(start), err)
+	}
+	simulatedCycles.Add(uint64(c.Now()))
+	return w, nil
+}
+
+// where names the window at trace position start in errors.
+func (r *runner) where(start int) string {
+	if r.s.Sampling != nil {
+		return fmt.Sprintf("%s/%s sampled window at op %d", r.s.Model, r.tr.Name, start)
+	}
+	return r.s.Model + "/" + r.tr.Name
 }
 
 // cycleCap bounds any single drive loop: a run (or sampled window) that has
@@ -308,9 +346,10 @@ const cycleCap = 400_000_000
 // committed (or the core drains, or the cycle cap is hit), calling snap
 // exactly once when the committed count first reaches warm — the
 // measurement-window snapshot. It returns the fast-forward accounting.
-// Both the full-fidelity Run and each sampled detailed window use it, so
-// the event-driven gating below behaves identically in both modes.
-func drive(c Core, ev eventDriven, warm, target uint64, snap func()) (ffJumps, ffSkipped uint64) {
+// Every window — the full-fidelity Run's one and each sampled detailed
+// window — uses it, so the event-driven gating below behaves identically
+// in both modes. ff false steps every cycle.
+func drive(c Core, ff bool, warm, target uint64, snap func()) (ffJumps, ffSkipped uint64) {
 	snapped := warm == 0
 	if snapped {
 		snap()
@@ -333,13 +372,13 @@ func drive(c Core, ev eventDriven, warm, target uint64, snap func()) (ffJumps, f
 		// NextWake's streaming pre-checks), so when the next wake lies
 		// beyond the next cycle, FastForward runs that one cycle itself and
 		// jumps across the proven-idle gap — the loop must not also step it.
-		if ev != nil {
+		if ff {
 			if c.Committed() != lastCommitted {
 				lastCommitted = c.Committed()
 				sigValid = false
-			} else if sig := ev.ProgressSignature(); !sigValid || sig != lastSig {
+			} else if sig := c.ProgressSignature(); !sigValid || sig != lastSig {
 				lastSig, sigValid = sig, true
-			} else if to := ev.NextWake(); to > c.Now()+1 {
+			} else if to := c.NextWake(); to > c.Now()+1 {
 				if to > cycleCap {
 					to = cycleCap
 				}
@@ -347,7 +386,7 @@ func drive(c Core, ev eventDriven, warm, target uint64, snap func()) (ffJumps, f
 				// lastSig keeps its pre-cycle value, so the next iteration's
 				// comparison fails once and steps normally.
 				before := c.Now()
-				if ev.FastForward(to) {
+				if c.FastForward(to) {
 					if skipped := uint64(c.Now() - before - 1); skipped > 0 {
 						ffJumps++
 						ffSkipped += skipped
@@ -363,10 +402,6 @@ func drive(c Core, ev eventDriven, warm, target uint64, snap func()) (ffJumps, f
 	}
 	return ffJumps, ffSkipped
 }
-
-// recycler is implemented by models that can return pooled resources at
-// end of run.
-type recycler interface{ Recycle() }
 
 // hierPool recycles memory hierarchies across runs. Hierarchy.Reset
 // restores exactly the fresh-constructed state (covered by the mem

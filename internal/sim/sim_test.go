@@ -73,173 +73,144 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	s := Table1().String()
+	s, metrics, err := RunFigure("table1", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, frag := range []string{"S-IQ", "TAGE", "DDR4", "32-entry ROB"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("Table1 missing %q", frag)
 		}
 	}
+	if len(metrics) != 0 {
+		t.Errorf("Table1 is prose but reported metrics %v", metrics)
+	}
 }
 
-func TestFig6SmallShape(t *testing.T) {
+// runFig runs one figure for a shape test and returns its text and its
+// metrics, which carry their run-manifest names.
+func runFig(t *testing.T, id string, o Options) (string, map[string]float64) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("multi-model suite")
 	}
-	tb, geo, err := Fig6(small())
+	text, m, err := RunFigure(id, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 4 { // 3 apps + geomean
-		t.Errorf("rows = %d", tb.NumRows())
+	return text, m
+}
+
+func TestFig6SmallShape(t *testing.T) {
+	text, m := runFig(t, "fig6", small())
+	for _, row := range append(small().Apps, "geomean") {
+		if !strings.Contains(text, "\n"+row+" ") {
+			t.Errorf("table has no %s row:\n%s", row, text)
+		}
 	}
-	if geo["InO"] != 1.0 {
-		t.Errorf("InO norm = %v", geo["InO"])
+	if m["fig6.norm_ipc_geomean.InO"] != 1.0 {
+		t.Errorf("InO norm = %v", m["fig6.norm_ipc_geomean.InO"])
 	}
 	// Paper shape: InO < LSC <= Freeway < CASINO < OoO-ish ordering on an
 	// MLP-rich mini-suite (allow small reorderings except the endpoints).
-	if geo["CASINO"] <= 1.0 {
-		t.Errorf("CASINO %v <= InO", geo["CASINO"])
+	if g := m["fig6.norm_ipc_geomean.CASINO"]; g <= 1.0 {
+		t.Errorf("CASINO %v <= InO", g)
 	}
-	if geo["OoO"] <= 1.0 {
-		t.Errorf("OoO %v <= InO", geo["OoO"])
+	if g := m["fig6.norm_ipc_geomean.OoO"]; g <= 1.0 {
+		t.Errorf("OoO %v <= InO", g)
 	}
-	if geo["LSC"] < 0.95 {
-		t.Errorf("LSC %v implausibly below InO", geo["LSC"])
+	if g := m["fig6.norm_ipc_geomean.LSC"]; g < 0.95 {
+		t.Errorf("LSC %v implausibly below InO", g)
 	}
 }
 
 func TestFig2SmallShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-model suite")
+	_, m := runFig(t, "fig2", small())
+	all, nonMem := m["fig2.norm_ipc_geomean.SpecInO[2,1]_All"], m["fig2.norm_ipc_geomean.SpecInO[2,1]_Non-mem"]
+	if all < nonMem {
+		t.Errorf("All-types %v < Non-mem %v", all, nonMem)
 	}
-	_, geo, err := Fig2(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if geo["SpecInO[2,1] All"] < geo["SpecInO[2,1] Non-mem"] {
-		t.Errorf("All-types %v < Non-mem %v", geo["SpecInO[2,1] All"], geo["SpecInO[2,1] Non-mem"])
-	}
-	if geo["OoO"] < geo["SpecInO[2,1] All"]*0.9 {
-		t.Errorf("OoO %v below SpecInO All %v", geo["OoO"], geo["SpecInO[2,1] All"])
+	if ooo := m["fig2.norm_ipc_geomean.OoO"]; ooo < all*0.9 {
+		t.Errorf("OoO %v below SpecInO All %v", ooo, all)
 	}
 }
 
 func TestFig7SmallShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-model suite")
-	}
-	_, sum, err := Fig7(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.AllocsPerKC["ConD[32,14]"] >= sum.AllocsPerKC["ConV[32,14]"] {
-		t.Errorf("conditional renaming allocates more: %v vs %v",
-			sum.AllocsPerKC["ConD[32,14]"], sum.AllocsPerKC["ConV[32,14]"])
+	_, m := runFig(t, "fig7", small())
+	if cond, conv := m["fig7.allocs_per_kc.ConD[32,14]"], m["fig7.allocs_per_kc.ConV[32,14]"]; cond >= conv {
+		t.Errorf("conditional renaming allocates more: %v vs %v", cond, conv)
 	}
 	// ConD must be at least roughly on par with ConV at equal PRF size
 	// (the full 25-app suite shows a clear win; this 3-app subset allows
 	// small noise).
-	if sum.NormIPC["ConD[32,14]"] < 0.97 {
-		t.Errorf("ConD materially slower than ConV with equal PRF: %v", sum.NormIPC["ConD[32,14]"])
+	if g := m["fig7.norm_ipc.ConD[32,14]"]; g < 0.97 {
+		t.Errorf("ConD materially slower than ConV with equal PRF: %v", g)
 	}
-	total := sum.SpecMem + sum.SpecNonMem + sum.Mem + sum.NonMem
+	total := m["fig7.issue_frac.spec_mem"] + m["fig7.issue_frac.spec_non_mem"] +
+		m["fig7.issue_frac.mem"] + m["fig7.issue_frac.non_mem"]
 	if total < 0.95 || total > 1.05 {
 		t.Errorf("issue breakdown does not sum to 1: %v", total)
 	}
 }
 
 func TestFig8SmallShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-model suite")
-	}
-	_, sum, err := Fig8(small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, m := runFig(t, "fig8", small())
 	// Every CASINO scheme eliminates the LQ entirely.
 	for _, scheme := range []string{"AGI-Ordering", "NoLQ", "NoLQ+OSCA"} {
-		if sum.LQSearches[scheme] != 0 || sum.LQReads[scheme] != 0 {
+		if m["fig8.lq_searches_per_ki."+scheme] != 0 || m["fig8.lq_reads_per_ki."+scheme] != 0 {
 			t.Errorf("%s still has LQ activity", scheme)
 		}
 	}
-	if sum.LQSearches["FullyOoO-LQ"] == 0 {
+	if m["fig8.lq_searches_per_ki.FullyOoO-LQ"] == 0 {
 		t.Error("baseline LQ never searched")
 	}
 	// The OSCA must reduce SQ searches vs plain NoLQ.
-	if sum.SQSearches["NoLQ+OSCA"] >= sum.SQSearches["NoLQ"] {
-		t.Errorf("OSCA did not reduce SQ searches: %v vs %v",
-			sum.SQSearches["NoLQ+OSCA"], sum.SQSearches["NoLQ"])
+	if osca, nolq := m["fig8.sq_searches_per_ki.NoLQ+OSCA"], m["fig8.sq_searches_per_ki.NoLQ"]; osca >= nolq {
+		t.Errorf("OSCA did not reduce SQ searches: %v vs %v", osca, nolq)
 	}
 	// AGI ordering costs performance vs the speculative schemes.
-	if sum.NormIPC["AGI-Ordering"] > sum.NormIPC["NoLQ+OSCA"] {
-		t.Errorf("AGI ordering unexpectedly fastest: %v vs %v",
-			sum.NormIPC["AGI-Ordering"], sum.NormIPC["NoLQ+OSCA"])
+	if agi, osca := m["fig8.norm_ipc.AGI-Ordering"], m["fig8.norm_ipc.NoLQ+OSCA"]; agi > osca {
+		t.Errorf("AGI ordering unexpectedly fastest: %v vs %v", agi, osca)
 	}
 }
 
 func TestFig9SmallShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-model suite")
+	_, m := runFig(t, "fig9", small())
+	if casino, ooo := m["fig9.norm_area.CASINO"], m["fig9.norm_area.OoO"]; casino <= 1.0 || casino >= ooo {
+		t.Errorf("area ordering wrong: CASINO %v OoO %v", casino, ooo)
 	}
-	_, sum, err := Fig9(small())
-	if err != nil {
-		t.Fatal(err)
+	if casino, ooo := m["fig9.norm_energy.CASINO"], m["fig9.norm_energy.OoO"]; casino >= ooo {
+		t.Errorf("CASINO energy %v >= OoO %v", casino, ooo)
 	}
-	if sum.NormArea["CASINO"] <= 1.0 || sum.NormArea["CASINO"] >= sum.NormArea["OoO"] {
-		t.Errorf("area ordering wrong: CASINO %v OoO %v", sum.NormArea["CASINO"], sum.NormArea["OoO"])
-	}
-	if sum.NormEnergy["CASINO"] >= sum.NormEnergy["OoO"] {
-		t.Errorf("CASINO energy %v >= OoO %v", sum.NormEnergy["CASINO"], sum.NormEnergy["OoO"])
-	}
-	if sum.NormEnergy["OoO+NoLQ"] >= sum.NormEnergy["OoO"] {
-		t.Errorf("NoLQ did not reduce OoO energy: %v vs %v",
-			sum.NormEnergy["OoO+NoLQ"], sum.NormEnergy["OoO"])
+	if nolq, ooo := m["fig9.norm_energy.OoO+NoLQ"], m["fig9.norm_energy.OoO"]; nolq >= ooo {
+		t.Errorf("NoLQ did not reduce OoO energy: %v vs %v", nolq, ooo)
 	}
 }
 
 func TestFig10bSmallShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-model suite")
-	}
-	_, pts, err := Fig10b(Options{Apps: []string{"libquantum", "milc"}, Ops: 6000, Warmup: 1500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts["[2,1]"] < 1.0 {
-		t.Errorf("[2,1] below [1,1]: %v", pts["[2,1]"])
+	_, m := runFig(t, "fig10b", Options{Apps: []string{"libquantum", "milc"}, Ops: 6000, Warmup: 1500, Seed: 1})
+	if g := m["fig10b.norm_ipc.[2,1]"]; g < 1.0 {
+		t.Errorf("[2,1] below [1,1]: %v", g)
 	}
 }
 
 func TestFig11SmallShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-model suite")
+	_, m := runFig(t, "fig11", Options{Apps: []string{"libquantum", "hmmer"}, Ops: 6000, Warmup: 1500, Seed: 1})
+	casino2, casino4, ooo4 := m["fig11.norm_ipc.CASINO.2w"], m["fig11.norm_ipc.CASINO.4w"], m["fig11.norm_ipc.OoO.4w"]
+	if casino4 <= casino2 {
+		t.Errorf("4-wide CASINO (%v) not faster than 2-wide (%v)", casino4, casino2)
 	}
-	_, sum, err := Fig11(Options{Apps: []string{"libquantum", "hmmer"}, Ops: 6000, Warmup: 1500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.NormIPC["CASINO"][4] <= sum.NormIPC["CASINO"][2] {
-		t.Errorf("4-wide CASINO (%v) not faster than 2-wide (%v)",
-			sum.NormIPC["CASINO"][4], sum.NormIPC["CASINO"][2])
-	}
-	if sum.NormIPC["OoO"][4] < sum.NormIPC["CASINO"][4]*0.8 {
-		t.Errorf("width scaling shape off: OoO4 %v CASINO4 %v",
-			sum.NormIPC["OoO"][4], sum.NormIPC["CASINO"][4])
+	if ooo4 < casino4*0.8 {
+		t.Errorf("width scaling shape off: OoO4 %v CASINO4 %v", ooo4, casino4)
 	}
 }
 
 func TestSectionStats(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-model suite")
-	}
-	_, out, err := SectionStats(Options{Apps: []string{"libquantum"}, Ops: 6000, Warmup: 1500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := out["casinoSIQFrac"]; f <= 0.05 || f >= 1 {
+	_, m := runFig(t, "stats", Options{Apps: []string{"libquantum"}, Ops: 6000, Warmup: 1500, Seed: 1})
+	if f := m["stats.casinoSIQFrac"]; f <= 0.05 || f >= 1 {
 		t.Errorf("S-IQ fraction %v implausible", f)
 	}
-	if f := out["specInOOoOFrac"]; f <= 0.05 || f >= 1 {
+	if f := m["stats.specInOOoOFrac"]; f <= 0.05 || f >= 1 {
 		t.Errorf("SpecInO OoO fraction %v implausible", f)
 	}
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MetricKind classifies a registry entry. The kind determines how Flatten
 // expands the metric into scalar (name, value) pairs and lets downstream
@@ -62,11 +59,9 @@ type Metric struct {
 // Registry collects the typed metrics of one simulation run. The cycle
 // kernels and the energy accountant publish into it after a run completes
 // (the hot path keeps its dense counters and histograms; publishing is a
-// once-per-run snapshot). Iteration order is registration order, so a
-// registry filled by a deterministic simulation flattens deterministically.
+// once-per-run snapshot).
 type Registry struct {
-	order []string
-	m     map[string]*Metric
+	m map[string]*Metric
 }
 
 // NewRegistry creates an empty registry.
@@ -83,7 +78,6 @@ func (r *Registry) get(name string, kind MetricKind) *Metric {
 	}
 	mt := &Metric{Name: name, Kind: kind}
 	r.m[name] = mt
-	r.order = append(r.order, name)
 	return mt
 }
 
@@ -120,9 +114,6 @@ func (r *Registry) Hist(name string, h *Hist) {
 	mt.P99 = float64(h.Quantile(0.99))
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.order) }
-
 // Lookup returns the named metric, or false if absent.
 func (r *Registry) Lookup(name string) (Metric, bool) {
 	if mt, ok := r.m[name]; ok {
@@ -131,33 +122,13 @@ func (r *Registry) Lookup(name string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// Each calls fn for every registered metric in registration order
-// without materializing a copy of the whole set. Exposition hook: bridge
-// code (the telemetry package's service registry) walks snapshots this
-// way to translate them into externally formatted series.
-func (r *Registry) Each(fn func(Metric)) {
-	for _, name := range r.order {
-		fn(*r.m[name])
-	}
-}
-
-// Metrics returns the registered metrics in registration order.
-func (r *Registry) Metrics() []Metric {
-	out := make([]Metric, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, *r.m[name])
-	}
-	return out
-}
-
 // Flatten expands every metric into scalar (name, value) pairs: scalar
 // kinds map to their value under the bare name; hists expand to
 // name+".mean" and name+".count" (overflow is added as ".overflow" only
 // when non-zero, so the common in-range case stays compact).
 func (r *Registry) Flatten() map[string]float64 {
-	out := make(map[string]float64, len(r.order))
-	for _, name := range r.order {
-		mt := r.m[name]
+	out := make(map[string]float64, len(r.m))
+	for name, mt := range r.m {
 		switch mt.Kind {
 		case KindHist:
 			out[name+".mean"] = mt.Value
@@ -171,26 +142,6 @@ func (r *Registry) Flatten() map[string]float64 {
 		default:
 			out[name] = mt.Value
 		}
-	}
-	return out
-}
-
-// FlattenSorted returns Flatten's pairs as a name-sorted slice, for
-// deterministic text rendering independent of publish order.
-func (r *Registry) FlattenSorted() []Metric {
-	flat := r.Flatten()
-	names := make([]string, 0, len(flat))
-	for n := range flat {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Metric, len(names))
-	for i, n := range names {
-		kind := KindGauge
-		if mt, ok := r.m[n]; ok {
-			kind = mt.Kind
-		}
-		out[i] = Metric{Name: n, Kind: kind, Value: flat[n]}
 	}
 	return out
 }

@@ -84,49 +84,3 @@ func TestRegistryHistNil(t *testing.T) {
 		t.Fatal("zero overflow should be omitted")
 	}
 }
-
-func TestRegistryOrderIsRegistrationOrder(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("z", 1)
-	r.Counter("a", 2)
-	r.Gauge("m", 3)
-	var names []string
-	for _, mt := range r.Metrics() {
-		names = append(names, mt.Name)
-	}
-	if !reflect.DeepEqual(names, []string{"z", "a", "m"}) {
-		t.Fatalf("order = %v, want registration order", names)
-	}
-}
-
-func TestRegistryEach(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("z", 1)
-	r.Counter("a", 2)
-	r.Gauge("m", 3)
-	var names []string
-	var vals []float64
-	r.Each(func(mt Metric) {
-		names = append(names, mt.Name)
-		vals = append(vals, mt.Value)
-	})
-	if !reflect.DeepEqual(names, []string{"z", "a", "m"}) {
-		t.Fatalf("Each order = %v, want registration order", names)
-	}
-	if !reflect.DeepEqual(vals, []float64{1, 2, 3}) {
-		t.Fatalf("Each values = %v", vals)
-	}
-}
-
-func TestRegistryFlattenSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("z", 1)
-	r.Counter("a", 2)
-	out := r.FlattenSorted()
-	if len(out) != 2 || out[0].Name != "a" || out[1].Name != "z" {
-		t.Fatalf("FlattenSorted = %+v, want name-sorted", out)
-	}
-	if out[0].Kind != KindCounter || out[1].Kind != KindGauge {
-		t.Fatalf("kinds not preserved: %+v", out)
-	}
-}

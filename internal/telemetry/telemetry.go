@@ -149,7 +149,10 @@ func (r *Registry) OnScrape(fn func()) {
 	r.mu.Unlock()
 }
 
-func (r *Registry) getSeries(name, help, typ string, labels []Label) *series {
+// getSeries finds or creates the series for name+labels and calls source
+// on it under r.mu, so a new series' value source is installed before any
+// scrape can see the series.
+func (r *Registry) getSeries(name, help, typ string, labels []Label, source func(*series)) {
 	if !ValidMetricName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -168,49 +171,55 @@ func (r *Registry) getSeries(name, help, typ string, labels []Label) *series {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s, was %s", name, typ, f.typ))
 	}
 	sig := labelSignature(labels)
-	if s, ok := f.index[sig]; ok {
-		return s
+	s, ok := f.index[sig]
+	if !ok {
+		s = &series{labels: append([]Label(nil), labels...), sig: sig}
+		f.index[sig] = s
+		f.series = append(f.series, s)
 	}
-	s := &series{labels: append([]Label(nil), labels...), sig: sig}
-	f.index[sig] = s
-	f.series = append(f.series, s)
-	return s
+	source(s)
 }
 
 // Counter returns the counter for name+labels, creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.getSeries(name, help, typeCounter, labels)
-	if s.counter == nil && s.fn == nil {
-		s.counter = &Counter{}
-	}
-	if s.counter == nil {
+	var c *Counter
+	r.getSeries(name, help, typeCounter, labels, func(s *series) {
+		if s.counter == nil && s.fn == nil {
+			s.counter = &Counter{}
+		}
+		c = s.counter
+	})
+	if c == nil {
 		panic(fmt.Sprintf("telemetry: series %q%s is a collector function, not a Counter", name, labelSignature(labels)))
 	}
-	return s.counter
+	return c
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.getSeries(name, help, typeGauge, labels)
-	if s.gauge == nil && s.fn == nil {
-		s.gauge = &Gauge{}
-	}
-	if s.gauge == nil {
+	var g *Gauge
+	r.getSeries(name, help, typeGauge, labels, func(s *series) {
+		if s.gauge == nil && s.fn == nil {
+			s.gauge = &Gauge{}
+		}
+		g = s.gauge
+	})
+	if g == nil {
 		panic(fmt.Sprintf("telemetry: series %q%s is a collector function, not a Gauge", name, labelSignature(labels)))
 	}
-	return s.gauge
+	return g
 }
 
 // CounterFunc registers a counter series whose value is collected by fn
 // at scrape time — the bridge for counters that already live elsewhere
 // (result-cache hit totals, engine cell counts).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.getSeries(name, help, typeCounter, labels).fn = fn
+	r.getSeries(name, help, typeCounter, labels, func(s *series) { s.fn = fn })
 }
 
 // GaugeFunc registers a gauge series collected by fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.getSeries(name, help, typeGauge, labels).fn = fn
+	r.getSeries(name, help, typeGauge, labels, func(s *series) { s.fn = fn })
 }
 
 // Summary creates and registers a new summary for name+labels.
@@ -223,7 +232,7 @@ func (r *Registry) Summary(name, help string, max int, labels ...Label) *Summary
 // RegisterSummary registers an existing Summary (one an engine already
 // observes into) under name+labels.
 func (r *Registry) RegisterSummary(name, help string, sum *Summary, labels ...Label) {
-	r.getSeries(name, help, typeSummary, labels).summary = sum
+	r.getSeries(name, help, typeSummary, labels, func(s *series) { s.summary = sum })
 }
 
 // WritePrometheus renders every family in text exposition format 0.0.4:

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -159,5 +161,39 @@ func TestSummaryOverflow(t *testing.T) {
 	}
 	if p99 != 10 {
 		t.Errorf("p99 = %v, want overflow bound 10", p99)
+	}
+}
+
+// TestRegisterWhileScraping creates new labelled series while another
+// goroutine scrapes, as casino-server does when a request with a new
+// status code lands mid-scrape. Every value source must be installed under
+// the registry lock the scrape holds; `go test -race` catches a source
+// set after the series is published.
+func TestRegisterWhileScraping(t *testing.T) {
+	r := NewRegistry()
+	const n = 100
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			code := Label{"code", strconv.Itoa(i)}
+			r.Counter("requests_total", "Requests by code.", code).Inc()
+			r.Gauge("inflight", "In flight by code.", code).Set(1)
+			r.GaugeFunc("collected", "Collected by code.", func() float64 { return 2 }, code)
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := render(t, r)
+	if series, err := Lint(strings.NewReader(got)); err != nil || series != 3*n {
+		t.Errorf("Lint = %d series, %v; want %d", series, err, 3*n)
 	}
 }
