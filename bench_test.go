@@ -26,10 +26,22 @@ func benchOpts() sim.Options {
 }
 
 // benchFigure regenerates one figure and returns its metrics under their
-// run-manifest names.
+// run-manifest names. It times a cold figure: off the clock it empties the
+// shared trace cache, and with it the results earlier figures or
+// iterations memoized, then regenerates the traces, so every iteration
+// simulates each of the figure's cells.
 func benchFigure(b *testing.B, id string) map[string]float64 {
 	b.Helper()
-	_, m, err := sim.RunFigure(id, benchOpts())
+	o := benchOpts()
+	b.StopTimer()
+	sim.ResetSharedTraces()
+	for _, app := range Workloads() {
+		if _, err := sim.SharedTrace(app, o.Ops+o.Warmup, o.Seed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StartTimer()
+	_, m, err := sim.RunFigure(id, o)
 	if err != nil {
 		b.Fatal(err)
 	}

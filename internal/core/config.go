@@ -143,8 +143,11 @@ func WideConfig(width int) Config {
 
 // Validate checks configuration invariants.
 func (c Config) Validate() error {
-	if c.Width < 1 || c.SIQSize < 1 || c.IQSize < 1 || c.ROBSize < 4 || c.SQSize < 1 {
+	if c.Width < 1 || c.SIQSize < 1 || c.IQSize < 1 || c.SQSize < 1 {
 		return fmt.Errorf("core: non-positive geometry: %+v", c)
+	}
+	if c.ROBSize < 4 {
+		return fmt.Errorf("core: ROB size %d is below the minimum of 4", c.ROBSize)
 	}
 	if c.WS < 1 || c.SO < 1 || c.WS < c.SO {
 		return fmt.Errorf("core: need WS >= SO >= 1, got WS=%d SO=%d", c.WS, c.SO)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"casino/internal/energy"
@@ -314,6 +315,11 @@ func TestConfigValidation(t *testing.T) {
 	bad.Disambig = DisambigNoLQ // no OSCA, no counter limit
 	if err := bad.Validate(); err != nil {
 		t.Errorf("256-entry SQ without an OSCA rejected: %v", err)
+	}
+	bad = DefaultConfig()
+	bad.ROBSize = 3
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "ROB size 3") || strings.Contains(err.Error(), "non-positive") {
+		t.Errorf("ROB size 3: error %v, want one naming the ROB minimum", err)
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)

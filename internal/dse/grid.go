@@ -98,9 +98,23 @@ func (g Grid) normalized() Grid {
 	return g
 }
 
+// Sweep request bounds. workload.Generate allocates a cell's whole trace,
+// (ops + warmup) micro-ops of 48 bytes each, and the engine holds every
+// expanded cell and its result, so an unbounded request ends in an
+// out-of-memory crash that no recover can catch. maxCellOps allows about
+// 192 MB of trace per cell, 12x the largest run in the repository (the
+// casinoperf cells-memory workload, 300,000 + 15,000 ops); maxGridCells
+// is far above the largest documented sweep (70 cells).
+const (
+	maxCellOps   = 4_000_000
+	maxGridCells = 10_000
+)
+
 // Validate checks the grid without expanding it: model and workload names
 // must be known, dimension values positive, geometry points must satisfy
-// WS >= SO >= 1, and OSCA widths must be powers of two.
+// WS >= SO >= 1, and OSCA widths must be powers of two. A cell may run at
+// most maxCellOps ops including warm-up, and the grid may expand to at most
+// maxGridCells cells.
 func (g Grid) Validate() error {
 	if len(g.Models) == 0 {
 		return fmt.Errorf("dse: grid lists no models")
@@ -142,7 +156,46 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("dse: %w", err)
 		}
 	}
+	if n := g.normalized(); n.Ops > maxCellOps || n.Warmup > maxCellOps-n.Ops {
+		return fmt.Errorf("dse: ops %d + warmup %d exceeds the %d-op cell limit", n.Ops, n.Warmup, maxCellOps)
+	}
+	if g.cellBound() > maxGridCells {
+		return fmt.Errorf("dse: grid expands to more than %d cells", maxGridCells)
+	}
 	return nil
+}
+
+// cellBound is the number of cells the grid expands to, counted from the
+// axis lengths without expanding (an axis that repeats a value makes it an
+// over-count). It stops counting once past maxGridCells, so no product of
+// axis lengths can overflow.
+func (g Grid) cellBound() int {
+	// points is an axis's point count: its values, or the one default
+	// point when the model lacks the axis or the grid leaves it empty.
+	points := func(has bool, n int) int {
+		if has && n > 0 {
+			return n
+		}
+		return 1
+	}
+	total := 0
+	for _, model := range g.Models {
+		d, _ := modelDims(model)
+		cells := len(g.Workloads)
+		for _, n := range [...]int{
+			points(d.geom, len(g.Geometries)), points(d.iq, len(g.IQSizes)), points(d.sb, len(g.SBSizes)),
+			points(d.rob, len(g.ROBSizes)), points(d.osca, len(g.OSCAWidths)),
+		} {
+			if cells > maxGridCells/n {
+				return maxGridCells + 1
+			}
+			cells *= n
+		}
+		if total += cells; total > maxGridCells {
+			return total
+		}
+	}
+	return total
 }
 
 // Cell is one expanded design point. Zero-valued axes mean "model

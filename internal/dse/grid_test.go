@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,6 +79,57 @@ func TestGridValidation(t *testing.T) {
 	for i, g := range bad {
 		if _, err := g.Expand(); err == nil {
 			t.Errorf("grid %d accepted: %+v", i, g)
+		}
+	}
+}
+
+// sizes returns 1..n, one axis of n distinct values.
+func sizes(n int) []int {
+	v := make([]int, n)
+	for i := range v {
+		v[i] = i + 1
+	}
+	return v
+}
+
+// TestGridBounds: a cell may run at most maxCellOps ops including the
+// (defaulted) warm-up, and a grid may expand to at most maxGridCells
+// cells; both limits reject before anything is generated or expanded.
+func TestGridBounds(t *testing.T) {
+	base := Grid{Models: []string{"casino"}, Workloads: []string{"mcf"}}
+	with := func(f func(*Grid)) Grid {
+		g := base
+		f(&g)
+		return g
+	}
+	for name, tc := range map[string]struct {
+		g    Grid
+		want string // "" = accepted
+	}{
+		"ops at the limit":     {with(func(g *Grid) { g.Ops = maxCellOps - sim.DefaultWarmup }), ""},
+		"default warm-up over": {with(func(g *Grid) { g.Ops = maxCellOps - sim.DefaultWarmup + 1 }), "cell limit"},
+		"4e9 ops":              {with(func(g *Grid) { g.Ops = 4_000_000_000 }), "cell limit"},
+		"warm-up over":         {with(func(g *Grid) { g.Ops, g.Warmup = 1000, maxCellOps }), "cell limit"},
+		"sum overflows int":    {with(func(g *Grid) { g.Ops, g.Warmup = math.MaxInt, math.MaxInt }), "cell limit"},
+		"cells at the limit":   {with(func(g *Grid) { g.IQSizes, g.SBSizes = sizes(100), sizes(100) }), ""},
+		"cells over":           {with(func(g *Grid) { g.IQSizes, g.SBSizes = sizes(101), sizes(100) }), "more than 10000 cells"},
+		"axis product overflows": {with(func(g *Grid) {
+			n := 1 << 13 // five casino axes of 2^13 values: a 2^65-cell product
+			g.Geometries = make([][2]int, n)
+			g.OSCAWidths = make([]int, n)
+			for i := range g.Geometries {
+				g.Geometries[i], g.OSCAWidths[i] = [2]int{1, 1}, 1
+			}
+			g.IQSizes, g.SBSizes, g.ROBSizes = sizes(n), sizes(n), sizes(n)
+		}), "more than 10000 cells"},
+		"cells summed over models": {with(func(g *Grid) { g.Models, g.IQSizes, g.SBSizes = []string{"casino", "ooo"}, sizes(100), sizes(60) }), "more than 10000 cells"},
+	} {
+		err := tc.g.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
 		}
 	}
 }

@@ -129,6 +129,8 @@ func TestServerErrorPaths(t *testing.T) {
 		`{"models":["nope"],"workloads":["mcf"]}`,
 		`{"models":["ino"],"workloads":["mcf"],"typo":1}`,
 		`{"models":["specino"],"workloads":["mcf"],"iq_sizes":[100]}`,
+		`{"models":["ino"],"workloads":["mcf"],"ops":4000000000}`,
+		`{"models":["ino","ooo"],"workloads":["mcf"],"iq_sizes":` + sizesJSON(100) + `,"sb_sizes":` + sizesJSON(60) + `}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -192,4 +194,10 @@ func TestSubmitResponseStatusURLRoundTrips(t *testing.T) {
 		t.Errorf("status_url = %q, want %q", sub.StatusURL, want)
 	}
 	getJSON(t, ts.URL+sub.StatusURL, http.StatusOK, nil)
+}
+
+// sizesJSON is a JSON array of 1..n.
+func sizesJSON(n int) string {
+	b, _ := json.Marshal(sizes(n))
+	return string(b)
 }

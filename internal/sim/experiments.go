@@ -71,33 +71,38 @@ func (o Options) traceLen() int {
 // runMatrix executes specs[i] for every app in parallel and returns
 // results indexed [app][i]. Each app's trace is resolved once up front
 // through the shared cache and handed to every spec in the column, so a
-// figure never generates the same trace twice. Execution goes through the
-// sharded cell runner (runner.go): all worker errors are aggregated (not
-// just the first), each naming its (app, model[index]) cell. An app with
-// any failed cell is dropped from the result map entirely — a column with
-// zero-valued Results would silently corrupt the figure's normalizations —
-// so on partial failure callers get the error plus only the complete
-// columns.
+// figure never generates the same trace twice, and each cell runs through
+// that trace's result memo, so no distinct cell is simulated twice on one
+// trace: a figure reuses the machines earlier figures (or earlier columns
+// of the same matrix) already ran. Execution goes through the sharded cell
+// runner (runner.go): all worker errors are aggregated (not just the
+// first), each naming its (app, model[index]) cell. An app with any failed
+// cell is dropped from the result map entirely — a column with zero-valued
+// Results would silently corrupt the figure's normalizations — so on
+// partial failure callers get the error plus only the complete columns.
 func runMatrix(o Options, mkSpecs func(app string) []Spec) (map[string][]Result, error) {
 	apps := o.apps()
 	var cells []Cell
 	out := make(map[string][]Result, len(apps))
+	entries := make(map[string]cachedTrace, len(apps))
 	n := o.traceLen()
 	for _, app := range apps {
-		tr, err := SharedTrace(app, n, o.Seed)
+		ct, err := sharedTraces.entry(app, n, o.Seed)
 		if err != nil {
 			return nil, err
 		}
+		entries[app] = ct
 		specs := mkSpecs(app)
 		out[app] = make([]Result, len(specs))
 		for i, s := range specs {
 			s.Workload = app
 			o.fill(&s)
-			s.Trace = tr
 			cells = append(cells, Cell{App: app, Model: s.Model, Index: i, Spec: s})
 		}
 	}
-	results := RunCells(cells, o.Workers, nil, nil)
+	results := RunCells(cells, o.Workers, func(c Cell) (Result, error) {
+		return entries[c.App].run(c.Spec)
+	}, nil)
 	failed := map[string]bool{}
 	for _, r := range results {
 		if r.Err != nil {

@@ -73,6 +73,7 @@ func TestBuildManifestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ResetSharedTraces() // simulate again rather than reuse a's memoized cells
 	b, err := BuildManifest("fig6", o)
 	if err != nil {
 		t.Fatal(err)

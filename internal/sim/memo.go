@@ -1,6 +1,9 @@
 package sim
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Memo is a concurrency-safe, singleflight, LRU-bounded memo. The first Do
 // for a key computes the value, every concurrent Do for the same key
@@ -34,6 +37,10 @@ func NewMemo[K comparable, V any](max int) *Memo[K, V] {
 // Do returns the value for key, running compute at most once per key no
 // matter how many goroutines ask concurrently. hit reports whether the
 // entry was already resident (completed, or in flight for another caller).
+//
+// A compute that panics fails like one that errs: its entry is dropped,
+// every caller waiting on it gets an error naming the panic value, and the
+// panic is re-raised in the goroutine that ran compute.
 func (m *Memo[K, V]) Do(key K, compute func() (V, error)) (v V, hit bool, err error) {
 	m.mu.Lock()
 	m.tick++
@@ -50,13 +57,24 @@ func (m *Memo[K, V]) Do(key K, compute func() (V, error)) (v V, hit bool, err er
 	m.misses++
 	m.mu.Unlock()
 
+	defer func() {
+		p := recover()
+		if p != nil {
+			e.err = fmt.Errorf("sim: memo computation panicked: %v", p)
+		}
+		if e.err != nil {
+			m.mu.Lock()
+			if m.entries[key] == e { // a Reset may have let another caller take the key
+				delete(m.entries, key)
+			}
+			m.mu.Unlock()
+		}
+		close(e.ready)
+		if p != nil {
+			panic(p)
+		}
+	}()
 	e.v, e.err = compute()
-	if e.err != nil {
-		m.mu.Lock()
-		delete(m.entries, key)
-		m.mu.Unlock()
-	}
-	close(e.ready)
 	return e.v, false, e.err
 }
 

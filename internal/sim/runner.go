@@ -40,7 +40,8 @@ type CellResult struct {
 //     submission order.
 //
 // A failing cell never poisons its siblings: every other cell still runs
-// to completion and keeps its own result or error. JoinCellErrors
+// to completion and keeps its own result or error. A cell whose runFn
+// panics fails with an error naming the panic value. JoinCellErrors
 // aggregates the failures into one error naming each failed (app, model)
 // cell.
 func RunCells(cells []Cell, workers int, runFn func(Cell) (Result, error), onCell func(CellResult)) []CellResult {
@@ -62,7 +63,7 @@ func RunCells(cells []Cell, workers int, runFn func(Cell) (Result, error), onCel
 		go func(i int, c Cell) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r, err := runFn(c)
+			r, err := runCell(runFn, c)
 			if err != nil {
 				err = fmt.Errorf("cell (%s, %s[%d]): %w", c.App, c.Model, c.Index, err)
 			}
@@ -76,6 +77,17 @@ func RunCells(cells []Cell, workers int, runFn func(Cell) (Result, error), onCel
 	}
 	wg.Wait()
 	return out
+}
+
+// runCell runs one cell, turning a panic into the cell's error so that a
+// model bug fails its own cell instead of the whole process.
+func runCell(runFn func(Cell) (Result, error), c Cell) (r Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, err = Result{}, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return runFn(c)
 }
 
 // JoinCellErrors folds every failed cell's error into one (nil when all

@@ -98,3 +98,32 @@ func TestRunCellsMoreCellsThanWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCellsPanicIsolation: a cell whose run panics fails with an error
+// naming the cell and the panic value; its siblings keep their results.
+func TestRunCellsPanicIsolation(t *testing.T) {
+	cells := make([]Cell, 4)
+	for i := range cells {
+		cells[i] = Cell{App: fmt.Sprintf("app%d", i), Model: "fake", Index: i}
+	}
+	results := RunCells(cells, 2, func(c Cell) (Result, error) {
+		if c.Index == 1 {
+			panic("kernel invariant broken")
+		}
+		return Result{Instructions: uint64(c.Index + 1)}, nil
+	}, nil)
+	for i, r := range results {
+		if i == 1 {
+			if r.Err == nil {
+				t.Fatal("panicking cell reported no error")
+			}
+			if msg := r.Err.Error(); !strings.Contains(msg, "cell (app1, fake[1])") || !strings.Contains(msg, "kernel invariant broken") {
+				t.Errorf("error must name the cell and the panic value: %q", msg)
+			}
+			continue
+		}
+		if r.Err != nil || r.Result.Instructions != uint64(i+1) {
+			t.Errorf("sibling cell %d: got (%v, %v)", i, r.Result.Instructions, r.Err)
+		}
+	}
+}

@@ -85,6 +85,8 @@ type Core interface {
 var simulatedCycles atomic.Uint64
 
 // SimulatedCycles returns the process-wide total of simulated core cycles.
+// It counts only cells actually simulated: a figure cell served from a
+// trace's result memo (see runMatrix) adds nothing.
 func SimulatedCycles() uint64 { return simulatedCycles.Load() }
 
 // Spec describes one run.
@@ -170,14 +172,75 @@ const (
 	DefaultWarmup = 15000
 )
 
-// Run executes one spec and returns its result.
-func Run(s Spec) (Result, error) {
+// withDefaults applies Run's defaulting: non-positive Ops means
+// DefaultOps, and a negative Warmup means none.
+func (s Spec) withDefaults() Spec {
 	if s.Ops <= 0 {
 		s.Ops = DefaultOps
 	}
 	if s.Warmup < 0 {
 		s.Warmup = 0
 	}
+	return s
+}
+
+// memConfig is the memory hierarchy the spec runs on (nil = Table I).
+func (s Spec) memConfig() mem.Config {
+	if s.MemCfg != nil {
+		return *s.MemCfg
+	}
+	return mem.DefaultConfig()
+}
+
+// modelConfig is a spec's resolved model configuration. The field of the
+// spec's model holds the configuration the run builds, which is the Table
+// I default when the spec's override is nil; every other field is zero.
+// build constructs the model from it and runMatrix's result memo keys on
+// it, so a nil override and an explicit default are one machine.
+type modelConfig struct {
+	casino  core.Config
+	ooo     ooo.Config
+	ino     ino.Config
+	slice   slice.Config
+	specino specino.Config
+}
+
+// orDefault returns *p, or def when p is nil.
+func orDefault[T any](p *T, def T) T {
+	if p != nil {
+		return *p
+	}
+	return def
+}
+
+// modelConfig resolves the configuration of the spec's model.
+func (s Spec) modelConfig() (modelConfig, error) {
+	var mc modelConfig
+	switch s.Model {
+	case ModelInO:
+		mc.ino = orDefault(s.InOCfg, ino.DefaultConfig())
+	case ModelOoO, ModelOoONoLQ:
+		mc.ooo = orDefault(s.OoOCfg, ooo.DefaultConfig())
+		if s.Model == ModelOoONoLQ {
+			mc.ooo.NoLQ = true
+		}
+	case ModelCASINO:
+		mc.casino = orDefault(s.CasinoCfg, core.DefaultConfig())
+	case ModelLSC:
+		mc.slice = orDefault(s.SliceCfg, slice.DefaultConfig(slice.LSC))
+	case ModelFreeway:
+		mc.slice = orDefault(s.SliceCfg, slice.DefaultConfig(slice.Freeway))
+	case ModelSpecInO:
+		mc.specino = orDefault(s.SpecInOCfg, specino.DefaultConfig(2, 1))
+	default:
+		return modelConfig{}, fmt.Errorf("sim: unknown model %q (known: %v)", s.Model, Models())
+	}
+	return mc, nil
+}
+
+// Run executes one spec and returns its result.
+func Run(s Spec) (Result, error) {
+	s = s.withDefaults()
 	if s.Sampling != nil {
 		return runSampled(s)
 	}
@@ -269,11 +332,7 @@ func newRunner(s Spec) (*runner, error) {
 			return nil, err
 		}
 	}
-	memCfg := mem.DefaultConfig()
-	if s.MemCfg != nil {
-		memCfg = *s.MemCfg
-	}
-	return &runner{s: s, tr: tr, hier: getHierarchy(memCfg), acct: energy.NewAccountant()}, nil
+	return &runner{s: s, tr: tr, hier: getHierarchy(s.memConfig()), acct: energy.NewAccountant()}, nil
 }
 
 // fastForward reports whether the driver may jump idle cycles: not when
@@ -423,16 +482,20 @@ func getHierarchy(cfg mem.Config) *mem.Hierarchy {
 
 func putHierarchy(h *mem.Hierarchy) { hierPool.Put(h) }
 
-// build constructs the model and returns it plus the publisher that
+// build constructs the spec's model at trace position start with an
+// injected predictor (nil = fresh) and returns it plus the publisher that
 // snapshots its counters and histograms into a metrics registry after the
-// run. Legacy LQ alias metrics are kept for the disambiguation figures:
-// CASINO's and OoO's load-queue activity lives in the energy accountant
-// (the structure only exists in some configurations), so build bridges it
-// under the historical lqReads/lqWrites/lqSearches names.
-// build constructs at trace position start with an injected predictor
-// (nil = fresh): the sampled driver opens detailed windows mid-trace with
-// the shared warmed predictor; full-fidelity runs pass (0, nil).
+// run. The sampled driver opens detailed windows mid-trace with the
+// shared warmed predictor; full-fidelity runs pass (0, nil). Legacy LQ
+// alias metrics are kept for the disambiguation figures: CASINO's and
+// OoO's load-queue activity lives in the energy accountant (the structure
+// only exists in some configurations), so build bridges it under the
+// historical lqReads/lqWrites/lqSearches names.
 func build(s Spec, tr *trace.Trace, start int, pred *bpred.Predictor, hier *mem.Hierarchy, acct *energy.Accountant) (Core, func(*stats.Registry), error) {
+	mc, err := s.modelConfig()
+	if err != nil {
+		return nil, nil, err
+	}
 	lqAliases := func(r *stats.Registry) {
 		r.Counter("lqReads", acct.CountByName("LQ", energy.Read))
 		r.Counter("lqWrites", acct.CountByName("LQ", energy.Write))
@@ -440,55 +503,27 @@ func build(s Spec, tr *trace.Trace, start int, pred *bpred.Predictor, hier *mem.
 	}
 	switch s.Model {
 	case ModelInO:
-		cfg := ino.DefaultConfig()
-		if s.InOCfg != nil {
-			cfg = *s.InOCfg
-		}
-		c := ino.NewAt(cfg, tr, start, pred, hier, acct)
+		c := ino.NewAt(mc.ino, tr, start, pred, hier, acct)
 		return c, c.PublishMetrics, nil
 	case ModelOoO, ModelOoONoLQ:
-		cfg := ooo.DefaultConfig()
-		if s.OoOCfg != nil {
-			cfg = *s.OoOCfg
-		}
-		if s.Model == ModelOoONoLQ {
-			cfg.NoLQ = true
-		}
-		c := ooo.NewAt(cfg, tr, start, pred, hier, acct)
+		c := ooo.NewAt(mc.ooo, tr, start, pred, hier, acct)
 		return c, func(r *stats.Registry) {
 			c.PublishMetrics(r)
 			lqAliases(r)
 			r.Counter("sqSearches", acct.CountByName("SQ", energy.Search))
 		}, nil
 	case ModelCASINO:
-		cfg := core.DefaultConfig()
-		if s.CasinoCfg != nil {
-			cfg = *s.CasinoCfg
-		}
-		c := core.NewAt(cfg, tr, start, pred, hier, acct)
+		c := core.NewAt(mc.casino, tr, start, pred, hier, acct)
 		return c, func(r *stats.Registry) {
 			c.PublishMetrics(r)
 			lqAliases(r)
 		}, nil
 	case ModelLSC, ModelFreeway:
-		kind := slice.LSC
-		if s.Model == ModelFreeway {
-			kind = slice.Freeway
-		}
-		cfg := slice.DefaultConfig(kind)
-		if s.SliceCfg != nil {
-			cfg = *s.SliceCfg
-		}
-		c := slice.NewAt(cfg, tr, start, pred, hier, acct)
+		c := slice.NewAt(mc.slice, tr, start, pred, hier, acct)
 		return c, c.PublishMetrics, nil
 	case ModelSpecInO:
-		cfg := specino.DefaultConfig(2, 1)
-		if s.SpecInOCfg != nil {
-			cfg = *s.SpecInOCfg
-		}
-		c := specino.NewAt(cfg, tr, start, pred, hier, acct)
+		c := specino.NewAt(mc.specino, tr, start, pred, hier, acct)
 		return c, c.PublishMetrics, nil
-	default:
-		return nil, nil, fmt.Errorf("sim: unknown model %q (known: %v)", s.Model, Models())
 	}
+	panic("sim: modelConfig accepted unknown model " + s.Model)
 }

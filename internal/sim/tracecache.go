@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"casino/internal/mem"
 	"casino/internal/trace"
 	"casino/internal/workload"
 )
@@ -22,10 +23,59 @@ type traceKey struct {
 }
 
 // cachedTrace is a generated trace plus its fingerprint at insertion, which
-// CheckIntegrity compares against to enforce the read-only contract.
+// CheckIntegrity compares against to enforce the read-only contract, and
+// the results of the runMatrix cells simulated on it.
 type cachedTrace struct {
 	tr *trace.Trace
 	fp uint64
+	// results memoizes each distinct cell run on tr, so a figure reuses
+	// any machine an earlier figure already simulated on this trace. The
+	// results live and die with the entry (LRU eviction, Reset): a fresh
+	// process, or a run after ResetSharedTraces, simulates every distinct
+	// cell once.
+	results *Memo[resultKey, Result]
+}
+
+// resultKey is one cell's identity on a cached trace: everything Run reads
+// from a Spec besides the trace, after Run's defaulting. DisableFastForward
+// is part of it because it changes the ff.* and evq.* metrics, and Seed
+// because sampled runs place their windows by it.
+type resultKey struct {
+	model       string
+	cfg         modelConfig
+	mem         mem.Config
+	ops, warmup int
+	seed        int64
+	sampling    Sampling // normalized; the zero value means full fidelity
+	noFF        bool
+}
+
+// resultsPerTrace bounds each trace's result memo. One `-fig all` run
+// holds 33 distinct cells per trace, twice that with sampled figures at
+// the same length.
+const resultsPerTrace = 128
+
+// run executes s on the entry's trace, simulating each distinct resultKey
+// once; later requests share the first run's Result, whose maps callers
+// must treat as read-only. A spec with a TraceSink always runs: its
+// output is the event stream, not the Result.
+func (ct cachedTrace) run(s Spec) (Result, error) {
+	s.Trace = ct.tr
+	if s.TraceSink != nil {
+		return Run(s)
+	}
+	d := s.withDefaults()
+	mc, err := d.modelConfig()
+	if err != nil {
+		return Result{}, err
+	}
+	k := resultKey{model: d.Model, cfg: mc, mem: d.memConfig(), ops: d.Ops, warmup: d.Warmup,
+		seed: d.Seed, noFF: d.DisableFastForward}
+	if d.Sampling != nil {
+		k.sampling = d.Sampling.normalized()
+	}
+	r, _, err := ct.results.Do(k, func() (Result, error) { return Run(s) })
+	return r, err
 }
 
 // TraceCache is a concurrency-safe, singleflight, LRU-bounded trace cache.
@@ -54,15 +104,21 @@ var sharedTraces = NewTraceCache(DefaultTraceCacheSize)
 // Get returns the trace for (workloadName, n ops, seed), generating it at
 // most once per key no matter how many goroutines ask concurrently.
 func (tc *TraceCache) Get(workloadName string, n int, seed int64) (*trace.Trace, error) {
+	ct, err := tc.entry(workloadName, n, seed)
+	return ct.tr, err
+}
+
+// entry is Get returning the whole cache entry, result memo included.
+func (tc *TraceCache) entry(workloadName string, n int, seed int64) (cachedTrace, error) {
 	ct, _, err := tc.Do(traceKey{workloadName, n, seed}, func() (cachedTrace, error) {
 		p, err := workload.ByName(workloadName)
 		if err != nil {
 			return cachedTrace{}, err
 		}
 		tr := workload.Generate(p, n, seed)
-		return cachedTrace{tr, tr.Fingerprint()}, nil
+		return cachedTrace{tr, tr.Fingerprint(), NewMemo[resultKey, Result](resultsPerTrace)}, nil
 	})
-	return ct.tr, err
+	return ct, err
 }
 
 // CheckIntegrity re-fingerprints every resident completed trace and
@@ -85,6 +141,7 @@ func SharedTrace(workloadName string, n int, seed int64) (*trace.Trace, error) {
 	return sharedTraces.Get(workloadName, n, seed)
 }
 
-// ResetSharedTraces empties the process-wide cache (tests, and benchmarks
-// that time trace generation).
+// ResetSharedTraces empties the process-wide cache, and with it every
+// memoized cell result (tests, and benchmarks that time trace generation
+// or a cold figure).
 func ResetSharedTraces() { sharedTraces.Reset() }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -34,52 +33,6 @@ func TestSharedVsFreshTraceDeterminism(t *testing.T) {
 			t.Errorf("%s: cached-trace result differs from fresh-trace result:\ncached:  %+v\nprivate: %+v",
 				model, cached, private)
 		}
-	}
-}
-
-// Memo's singleflight: a request for a key whose computation is in flight
-// joins it instead of computing again, and reports a hit. A failed
-// computation is not cached.
-func TestMemoSingleflight(t *testing.T) {
-	m := NewMemo[string, int](8)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	type out struct {
-		v   int
-		hit bool
-	}
-	first := make(chan out)
-	go func() {
-		v, hit, _ := m.Do("k", func() (int, error) {
-			close(started)
-			<-release
-			return 7, nil
-		})
-		first <- out{v, hit}
-	}()
-	<-started
-	second := make(chan out)
-	go func() {
-		v, hit, _ := m.Do("k", func() (int, error) {
-			t.Error("second computation ran despite the in-flight entry")
-			return 0, nil
-		})
-		second <- out{v, hit}
-	}()
-	close(release)
-	if a := <-first; a.hit || a.v != 7 {
-		t.Errorf("first: %+v", a)
-	}
-	if b := <-second; !b.hit || b.v != 7 {
-		t.Errorf("joiner: %+v", b)
-	}
-
-	boom := errors.New("boom")
-	if _, _, err := m.Do("bad", func() (int, error) { return 0, boom }); err != boom {
-		t.Errorf("error not returned: %v", err)
-	}
-	if v, hit, err := m.Do("bad", func() (int, error) { return 3, nil }); hit || v != 3 || err != nil {
-		t.Errorf("failed computation was cached: v=%d hit=%v err=%v", v, hit, err)
 	}
 }
 

@@ -100,23 +100,28 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > maxOps {
 		return nil, fmt.Errorf("trace: implausible op count %d", count)
 	}
-	t := &Trace{Name: string(name), Ops: make([]isa.MicroOp, count)}
+	// The header's count is untrusted: reserve at most maxReserve ops up
+	// front and grow as records arrive, so a forged count ends in a
+	// truncation error instead of a runtime out-of-memory crash.
+	const maxReserve = 1 << 14 // 768 KiB of MicroOps
+	t := &Trace{Name: string(name), Ops: make([]isa.MicroOp, 0, min(count, maxReserve))}
 	var rec [30]byte
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: truncated at op %d: %w", i, err)
 		}
-		op := &t.Ops[i]
-		op.Seq = i
-		op.PC = binary.LittleEndian.Uint64(rec[0:])
-		op.Class = isa.Class(rec[8])
-		op.Dst = isa.Reg(rec[9])
-		op.Src1 = isa.Reg(rec[10])
-		op.Src2 = isa.Reg(rec[11])
-		op.Addr = binary.LittleEndian.Uint64(rec[12:])
-		op.Size = rec[20]
-		op.Taken = rec[21]&1 != 0
-		op.Target = binary.LittleEndian.Uint64(rec[22:])
+		t.Ops = append(t.Ops, isa.MicroOp{
+			Seq:    i,
+			PC:     binary.LittleEndian.Uint64(rec[0:]),
+			Class:  isa.Class(rec[8]),
+			Dst:    isa.Reg(rec[9]),
+			Src1:   isa.Reg(rec[10]),
+			Src2:   isa.Reg(rec[11]),
+			Addr:   binary.LittleEndian.Uint64(rec[12:]),
+			Size:   rec[20],
+			Taken:  rec[21]&1 != 0,
+			Target: binary.LittleEndian.Uint64(rec[22:]),
+		})
 	}
 	return t, t.Validate()
 }

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -183,4 +186,56 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// forgedCount is a 20-byte input that claims 2^32 ops: magic, version 1,
+// an empty name, the count, and the first 4 bytes of a record. Sizing the
+// op slice from the header would ask for 192 GiB.
+func forgedCount() []byte {
+	b := []byte(codecMagic)
+	b = binary.LittleEndian.AppendUint16(b, codecVersion)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, 1<<32)
+	return append(b, 0, 1, 0, 0)
+}
+
+// Read must not trust the header's op count: a forged count costs a
+// truncation error and a bounded reservation, not the allocation it asks
+// for.
+func TestReadForgedCountAllocatesLittle(t *testing.T) {
+	in := forgedCount()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := Read(bytes.NewReader(in))
+	runtime.ReadMemStats(&m1)
+	if err == nil || !strings.Contains(err.Error(), "truncated at op 0") {
+		t.Errorf("Read(forged count) error = %v, want a truncation at op 0", err)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Read(forged count) allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// FuzzRead feeds the decoder arbitrary bytes. It must return an error
+// rather than panic, and whatever it accepts must survive a Write/Read
+// round trip unchanged. The seed corpus in testdata/fuzz/FuzzRead holds a
+// valid trace, a truncated one and the forged-count header.
+func FuzzRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatalf("Write of a decoded trace: %v", err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read of a re-encoded trace: %v", err)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatalf("round trip changed the trace:\n%+v\n%+v", tr, back)
+		}
+	})
 }
