@@ -13,7 +13,11 @@
 // redundant SQ/SB searches.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"casino/internal/isa"
+)
 
 // RenamingMode selects the renaming scheme (Fig. 7 ablation).
 type RenamingMode uint8
@@ -143,8 +147,17 @@ func WideConfig(width int) Config {
 
 // Validate checks configuration invariants.
 func (c Config) Validate() error {
-	if c.Width < 1 || c.SIQSize < 1 || c.IQSize < 1 || c.SQSize < 1 {
+	if c.Width < 1 || c.SIQSize < 1 || c.IQSize < 1 || c.SQSize < 1 || c.FrontDepth < 1 ||
+		c.MidSIQs < 0 || c.MidSIQSize < 0 {
 		return fmt.Errorf("core: non-positive geometry: %+v", c)
+	}
+	if c.Disambig == DisambigFullLQ && c.LQSize < 1 {
+		return fmt.Errorf("core: the full-LQ design needs at least one LQ entry, got %d", c.LQSize)
+	}
+	// Renaming allocates from the registers beyond the architectural ones.
+	if c.IntPRF <= isa.NumIntRegs || c.FPPRF <= isa.NumFPRegs {
+		return fmt.Errorf("core: need more than %d INT and %d FP physical registers, got %d and %d",
+			isa.NumIntRegs, isa.NumFPRegs, c.IntPRF, c.FPPRF)
 	}
 	if c.ROBSize < 4 {
 		return fmt.Errorf("core: ROB size %d is below the minimum of 4", c.ROBSize)

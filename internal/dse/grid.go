@@ -99,10 +99,10 @@ func (g Grid) normalized() Grid {
 }
 
 // Sweep request bounds. workload.Generate allocates a cell's whole trace,
-// (ops + warmup) micro-ops of 48 bytes each, and the engine holds every
+// (ops + warmup) micro-ops of 40 bytes each, and the engine holds every
 // expanded cell and its result, so an unbounded request ends in an
 // out-of-memory crash that no recover can catch. maxCellOps allows about
-// 192 MB of trace per cell, 12x the largest run in the repository (the
+// 160 MB of trace per cell, 12x the largest run in the repository (the
 // casinoperf cells-memory workload, 300,000 + 15,000 ops); maxGridCells
 // is far above the largest documented sweep (70 cells).
 const (
@@ -286,8 +286,8 @@ func (c Cell) CacheKey(traceFP uint64) string {
 }
 
 // Spec builds the sim.Spec this cell runs, applying the overridden axes
-// to the model's Table I default configuration and validating the result
-// where the model supports it.
+// to the model's Table I default configuration and checking the result
+// with the model's Validate, as sim.Run does.
 func (c Cell) Spec() (sim.Spec, error) {
 	s := sim.Spec{
 		Model:    c.Model,
@@ -300,6 +300,7 @@ func (c Cell) Spec() (sim.Spec, error) {
 		sp := c.Sampling.Normalized()
 		s.Sampling = &sp
 	}
+	var resolved interface{ Validate() error } // the model's configuration
 	switch c.Model {
 	case sim.ModelCASINO:
 		cfg := core.DefaultConfig()
@@ -318,10 +319,7 @@ func (c Cell) Spec() (sim.Spec, error) {
 		if c.OSCA > 0 {
 			cfg.OSCASize = c.OSCA
 		}
-		if err := cfg.Validate(); err != nil {
-			return sim.Spec{}, fmt.Errorf("dse: cell %s: %w", c.Key(), err)
-		}
-		s.CasinoCfg = &cfg
+		s.CasinoCfg, resolved = &cfg, cfg
 	case sim.ModelSpecInO:
 		ws, so := c.WS, c.SO
 		if ws == 0 {
@@ -331,10 +329,7 @@ func (c Cell) Spec() (sim.Spec, error) {
 		if c.IQ > 0 {
 			cfg.IQSize = c.IQ
 		}
-		if err := cfg.Validate(); err != nil {
-			return sim.Spec{}, fmt.Errorf("dse: cell %s: %w", c.Key(), err)
-		}
-		s.SpecInOCfg = &cfg
+		s.SpecInOCfg, resolved = &cfg, cfg
 	case sim.ModelInO:
 		cfg := ino.DefaultConfig()
 		if c.IQ > 0 {
@@ -343,7 +338,7 @@ func (c Cell) Spec() (sim.Spec, error) {
 		if c.SB > 0 {
 			cfg.SBSize = c.SB
 		}
-		s.InOCfg = &cfg
+		s.InOCfg, resolved = &cfg, cfg
 	case sim.ModelOoO, sim.ModelOoONoLQ:
 		cfg := ooo.DefaultConfig()
 		if c.IQ > 0 {
@@ -355,7 +350,7 @@ func (c Cell) Spec() (sim.Spec, error) {
 		if c.ROB > 0 {
 			cfg.ROBSize = c.ROB
 		}
-		s.OoOCfg = &cfg
+		s.OoOCfg, resolved = &cfg, cfg
 	case sim.ModelLSC, sim.ModelFreeway:
 		kind := slice.LSC
 		if c.Model == sim.ModelFreeway {
@@ -368,9 +363,12 @@ func (c Cell) Spec() (sim.Spec, error) {
 		if c.SB > 0 {
 			cfg.SBSize = c.SB
 		}
-		s.SliceCfg = &cfg
+		s.SliceCfg, resolved = &cfg, cfg
 	default:
 		return sim.Spec{}, fmt.Errorf("dse: cell %s: unknown model %q", c.Key(), c.Model)
+	}
+	if err := resolved.Validate(); err != nil {
+		return sim.Spec{}, fmt.Errorf("dse: cell %s: %w", c.Key(), err)
 	}
 	return s, nil
 }

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"casino/internal/sim"
 	"casino/internal/telemetry"
 )
 
@@ -31,6 +32,7 @@ import (
 //	casino_eventq_wakeups_total     counter: eventq registrations across cells
 //	casino_eventq_coalesced_total   counter: eventq wakeups absorbed heap-free
 //	casino_ff_skipped_cycles_total  counter: cycles fast-forwarded across cells
+//	casino_cell_panics_total        counter: cells whose run panicked (process-wide)
 //	go_* / process_cpus             Go runtime family (RegisterGoRuntime)
 func NewTelemetry(e *Engine) *telemetry.Registry {
 	r := telemetry.NewRegistry()
@@ -97,6 +99,9 @@ func NewTelemetry(e *Engine) *telemetry.Registry {
 	r.CounterFunc("casino_ff_skipped_cycles_total",
 		"Cycles crossed by event-driven fast-forward, across cells.",
 		func() float64 { return float64(e.met.ffSkipped.Load()) })
+	r.CounterFunc("casino_cell_panics_total",
+		"Cells whose run panicked, each recovered into that cell's error (process-wide).",
+		func() float64 { return float64(sim.CellPanics()) })
 
 	r.RegisterGoRuntime()
 	return r

@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"casino/internal/manifest"
+	"casino/internal/sim"
 	"casino/internal/telemetry"
 )
 
@@ -102,8 +104,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"casino_result_cache_hits_total", "casino_result_cache_misses_total",
 		"casino_sim_cycles_total", "casino_sim_instructions_total",
 		"casino_eventq_wakeups_total", "casino_eventq_coalesced_total",
-		"casino_ff_skipped_cycles_total", "casino_http_request_ms",
-		"go_goroutines",
+		"casino_ff_skipped_cycles_total", "casino_cell_panics_total",
+		"casino_http_request_ms", "go_goroutines",
 	} {
 		if !strings.Contains(cold, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -128,6 +130,38 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(warm, "casino_http_requests_total{code=\"200\"}") {
 		t.Errorf("post-sweep /metrics missing http request counter")
+	}
+}
+
+// TestCellPanicsMetric: a cell whose run panics adds exactly one to
+// casino_cell_panics_total.
+func TestCellPanicsMetric(t *testing.T) {
+	e := NewEngine(1, 0)
+	defer e.Close()
+	tel := NewTelemetry(e)
+	panics := func() string {
+		var b bytes.Buffer
+		if err := tel.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "casino_cell_panics_total "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no casino_cell_panics_total sample in:\n%s", b.String())
+		return ""
+	}
+	before := panics()
+	sim.RunCells([]sim.Cell{{App: "mcf", Model: "broken"}}, 1, func(sim.Cell) (sim.Result, error) {
+		panic("model bug")
+	}, nil)
+	n, err := strconv.ParseUint(before, 10, 64)
+	if err != nil {
+		t.Fatalf("casino_cell_panics_total = %q: %v", before, err)
+	}
+	if after := panics(); after != strconv.FormatUint(n+1, 10) {
+		t.Errorf("casino_cell_panics_total went from %s to %s, want +1", before, after)
 	}
 }
 

@@ -8,6 +8,8 @@
 package ino
 
 import (
+	"fmt"
+
 	"casino/internal/bpred"
 	"casino/internal/energy"
 	"casino/internal/eventq"
@@ -33,6 +35,21 @@ type Config struct {
 // DefaultConfig returns the Table I InO configuration.
 func DefaultConfig() Config {
 	return Config{Width: 2, IQSize: 16, SCBSize: 4, SBSize: 4, FrontDepth: 5}
+}
+
+// Validate checks the limits the core is built on: a front end at least
+// one op wide and one stage deep, and at least one entry in the IQ, the
+// SCB window and the store buffer (an empty queue never accepts an op, so
+// the run would stall until the cycle cap).
+func (c Config) Validate() error {
+	if c.Width < 1 || c.FrontDepth < 1 {
+		return fmt.Errorf("ino: Width and FrontDepth must be positive, got %d and %d", c.Width, c.FrontDepth)
+	}
+	if c.IQSize < 1 || c.SCBSize < 1 || c.SBSize < 1 {
+		return fmt.Errorf("ino: IQSize, SCBSize and SBSize must be positive, got %d, %d and %d",
+			c.IQSize, c.SCBSize, c.SBSize)
+	}
+	return nil
 }
 
 type entry struct {
@@ -131,6 +148,9 @@ func New(cfg Config, tr *trace.Trace, hier *mem.Hierarchy, acct *energy.Accounta
 // fresh one. The sampled-simulation driver uses it to open detailed windows
 // mid-trace against warmed shared state.
 func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *mem.Hierarchy, acct *energy.Accountant) *Core {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	c := &Core{
 		cfg:  cfg,
 		hier: hier,

@@ -171,17 +171,21 @@ func (r Reg) String() string {
 // and Size give the effective byte range. For branches, Taken and Target
 // record the resolved outcome that the front end's predictor is checked
 // against.
+//
+// The four 64-bit fields come first so the six one-byte fields pack into
+// one trailing word: an op is 40 bytes, not the 48 that interleaving
+// them costs. Traces are the largest allocation of a sweep, so keep it so.
 type MicroOp struct {
 	Seq    uint64
 	PC     uint64
+	Addr   uint64
+	Target uint64
 	Class  Class
 	Dst    Reg // RegNone if no register result
 	Src1   Reg // RegNone if absent
 	Src2   Reg // RegNone if absent
-	Addr   uint64
 	Size   uint8
 	Taken  bool
-	Target uint64
 }
 
 // HasDst reports whether the op writes a register.

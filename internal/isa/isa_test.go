@@ -3,7 +3,17 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// Traces hold millions of ops, so the op's size is the traces' memory.
+// The field order packs the six one-byte fields behind the four uint64s;
+// a reorder that re-pads the struct must be deliberate.
+func TestMicroOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(MicroOp{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(MicroOp{}) = %d, want 40", got)
+	}
+}
 
 func TestClassString(t *testing.T) {
 	cases := map[Class]string{

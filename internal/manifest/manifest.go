@@ -15,10 +15,13 @@ import (
 )
 
 // Version is the manifest schema version. Decode rejects any other value:
-// a version bump means the metric naming or spec encoding changed, and a
-// silent cross-version comparison would report drift where there is only
-// renaming.
-const Version = 1
+// a version bump means the metric naming, spec encoding or fingerprint
+// definition changed, and a silent cross-version comparison would report
+// drift where there is only renaming. Version 2 fingerprints traces with
+// the word-wise FNV-1a of trace.Refingerprint (five 64-bit words per op);
+// version 1 hashed the same fields byte by byte, so every version 1
+// fingerprint differs.
+const Version = 2
 
 // Manifest is the machine-readable outcome of one casino-bench run.
 type Manifest struct {
@@ -35,9 +38,11 @@ type Manifest struct {
 	Seed   int64    `json:"seed"`
 	Apps   []string `json:"apps"`
 
-	// Workloads maps app name → the %016x FNV-1a fingerprint of its
-	// generated trace. A fingerprint mismatch means the workload
-	// generator changed: every downstream metric is then incomparable.
+	// Workloads maps app name → the %016x fingerprint of its generated
+	// trace: FNV-1a over each op's five 64-bit words, as
+	// trace.Refingerprint defines it. A fingerprint mismatch means the
+	// workload generator changed: every downstream metric is then
+	// incomparable.
 	Workloads map[string]string `json:"workload_fingerprints"`
 
 	// Metrics is the flat registry snapshot: figure aggregates (geomean
@@ -113,6 +118,9 @@ func Decode(r io.Reader) (*Manifest, error) {
 	}
 	if m.Workloads == nil {
 		m.Workloads = map[string]string{}
+	}
+	if len(m.Cells) == 0 {
+		m.Cells = nil // Encode omits an empty list; decode it as absent too
 	}
 	return &m, nil
 }

@@ -2,9 +2,11 @@ package manifest
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -54,12 +56,12 @@ func TestManifestFileRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsVersionMismatch(t *testing.T) {
-	for _, v := range []string{"0", "2", "999"} {
-		in := `{"version": ` + v + `, "kind": "casino-bench/figures", "figure": "fig6"}`
+	for _, v := range []int{0, Version - 1, Version + 1, 999} {
+		in := `{"version": ` + strconv.Itoa(v) + `, "kind": "casino-bench/figures", "figure": "fig6"}`
 		_, err := Decode(strings.NewReader(in))
 		var ve *VersionError
-		if !errors.As(err, &ve) {
-			t.Fatalf("version %s: err = %v, want *VersionError", v, err)
+		if !errors.As(err, &ve) || ve.Got != v {
+			t.Fatalf("version %d: err = %v, want *VersionError", v, err)
 		}
 	}
 }
@@ -71,7 +73,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestDecodeFillsNilMaps(t *testing.T) {
-	in := `{"version": 1, "kind": "casino-bench/figures", "figure": "fig6"}`
+	in := `{"version": ` + strconv.Itoa(Version) + `, "kind": "casino-bench/figures", "figure": "fig6"}`
 	m, err := Decode(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
@@ -79,4 +81,37 @@ func TestDecodeFillsNilMaps(t *testing.T) {
 	if m.Metrics == nil || m.Workloads == nil {
 		t.Fatal("decoded manifest must have non-nil maps")
 	}
+}
+
+// FuzzDecode feeds Decode arbitrary bytes. Its seed corpus in
+// testdata/fuzz/FuzzDecode holds the golden manifest, a version 1
+// document, truncated JSON and a JSON array. Decode must never panic; a
+// document that is one JSON object at another schema version must fail
+// with a *VersionError; and a decoded manifest must encode and decode
+// again to an equal manifest.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(bytes.NewReader(data))
+		var doc Manifest
+		if json.Unmarshal(data, &doc) == nil && doc.Version != Version {
+			var ve *VersionError
+			if !errors.As(err, &ve) {
+				t.Fatalf("version %d document: err = %v, want *VersionError", doc.Version, err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatalf("Encode of a decoded manifest: %v", err)
+		}
+		back, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("Decode of a re-encoded manifest: %v", err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("round trip changed the manifest:\n%+v\n%+v", m, back)
+		}
+	})
 }

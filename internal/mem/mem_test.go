@@ -375,6 +375,27 @@ func TestHierarchyPrefetcherHelpsStreams(t *testing.T) {
 	}
 }
 
+// A confident stride prefetches on every demand miss; the prefetch list
+// must reuse the prefetcher's buffer rather than allocate one per miss.
+func TestStridedLoadsDoNotAllocate(t *testing.T) {
+	h := NewHierarchy(DefaultConfig())
+	addr, now := uint64(0x100000), int64(0)
+	load := func() {
+		now, _ = h.Load(0x400, addr, now)
+		addr += 64
+	}
+	for i := 0; i < 8; i++ {
+		load() // train the stride to full confidence
+	}
+	issued := h.pf.Issued
+	if allocs := testing.AllocsPerRun(100, load); allocs != 0 {
+		t.Errorf("strided loads allocate %v objects each, want 0", allocs)
+	}
+	if h.pf.Issued == issued {
+		t.Fatal("strided loads issued no prefetches: the test exercised nothing")
+	}
+}
+
 func TestHierarchyReset(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
 	h.Load(0x400, 0x50000, 0)

@@ -11,6 +11,7 @@
 package ooo
 
 import (
+	"fmt"
 	"math/bits"
 
 	"casino/internal/bpred"
@@ -49,6 +50,27 @@ func DefaultConfig() Config {
 		Width: 2, IQSize: 16, ROBSize: 32, LQSize: 16, SQSize: 8,
 		IntPRF: 48, FPPRF: 24, FrontDepth: 7,
 	}
+}
+
+// Validate checks the limits the core is built on: a front end at least
+// one op wide and one stage deep; at least one entry in the IQ, the ROB,
+// the SQ and, unless NoLQ, the LQ; and at least one physical register of
+// each class beyond the architectural ones, or renaming has nothing to
+// allocate. An empty structure never accepts an op, so the run would stall
+// until the cycle cap.
+func (c Config) Validate() error {
+	if c.Width < 1 || c.FrontDepth < 1 {
+		return fmt.Errorf("ooo: Width and FrontDepth must be positive, got %d and %d", c.Width, c.FrontDepth)
+	}
+	if c.IQSize < 1 || c.ROBSize < 1 || c.SQSize < 1 || (!c.NoLQ && c.LQSize < 1) {
+		return fmt.Errorf("ooo: IQSize, ROBSize, SQSize and LQSize must be positive, got %d, %d, %d and %d",
+			c.IQSize, c.ROBSize, c.SQSize, c.LQSize)
+	}
+	if c.IntPRF <= isa.NumIntRegs || c.FPPRF <= isa.NumFPRegs {
+		return fmt.Errorf("ooo: need more than %d INT and %d FP physical registers, got %d and %d",
+			isa.NumIntRegs, isa.NumFPRegs, c.IntPRF, c.FPPRF)
+	}
+	return nil
 }
 
 // WideConfig scales the Table I machine to the given width as §VI-F does:
@@ -154,6 +176,9 @@ func New(cfg Config, tr *trace.Trace, hier *mem.Hierarchy, acct *energy.Accounta
 // fresh one. The sampled-simulation driver uses it to open detailed windows
 // mid-trace against warmed shared state.
 func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *mem.Hierarchy, acct *energy.Accountant) *Core {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	c := &Core{
 		cfg:  cfg,
 		hier: hier,

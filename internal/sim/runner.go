@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Cell is one unit of sharded work: a fully resolved Spec plus the
@@ -79,11 +80,21 @@ func RunCells(cells []Cell, workers int, runFn func(Cell) (Result, error), onCel
 	return out
 }
 
+// cellPanics counts, process-wide, the cells whose panic runCell
+// recovered.
+var cellPanics atomic.Uint64
+
+// CellPanics returns the process-wide number of cells whose run panicked
+// and that RunCells turned into the cell's error. casino-server exports it
+// as casino_cell_panics_total: any non-zero value is a model bug.
+func CellPanics() uint64 { return cellPanics.Load() }
+
 // runCell runs one cell, turning a panic into the cell's error so that a
 // model bug fails its own cell instead of the whole process.
 func runCell(runFn func(Cell) (Result, error), c Cell) (r Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			cellPanics.Add(1)
 			r, err = Result{}, fmt.Errorf("panic: %v", p)
 		}
 	}()

@@ -100,8 +100,10 @@ func TestRunCellsMoreCellsThanWorkers(t *testing.T) {
 }
 
 // TestRunCellsPanicIsolation: a cell whose run panics fails with an error
-// naming the cell and the panic value; its siblings keep their results.
+// naming the cell and the panic value, and adds exactly one to
+// CellPanics; its siblings keep their results.
 func TestRunCellsPanicIsolation(t *testing.T) {
+	panics := CellPanics()
 	cells := make([]Cell, 4)
 	for i := range cells {
 		cells[i] = Cell{App: fmt.Sprintf("app%d", i), Model: "fake", Index: i}
@@ -125,5 +127,8 @@ func TestRunCellsPanicIsolation(t *testing.T) {
 		if r.Err != nil || r.Result.Instructions != uint64(i+1) {
 			t.Errorf("sibling cell %d: got (%v, %v)", i, r.Result.Instructions, r.Err)
 		}
+	}
+	if d := CellPanics() - panics; d != 1 {
+		t.Errorf("CellPanics grew by %d, want 1", d)
 	}
 }

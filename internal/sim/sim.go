@@ -213,27 +213,39 @@ func orDefault[T any](p *T, def T) T {
 	return def
 }
 
-// modelConfig resolves the configuration of the spec's model.
+// modelConfig resolves the configuration of the spec's model and checks it
+// with the model's Validate, so a configuration the model cannot be built
+// on is an error here rather than a panic or a stall in its constructor.
 func (s Spec) modelConfig() (modelConfig, error) {
 	var mc modelConfig
+	var err error
 	switch s.Model {
 	case ModelInO:
 		mc.ino = orDefault(s.InOCfg, ino.DefaultConfig())
+		err = mc.ino.Validate()
 	case ModelOoO, ModelOoONoLQ:
 		mc.ooo = orDefault(s.OoOCfg, ooo.DefaultConfig())
 		if s.Model == ModelOoONoLQ {
 			mc.ooo.NoLQ = true
 		}
+		err = mc.ooo.Validate()
 	case ModelCASINO:
 		mc.casino = orDefault(s.CasinoCfg, core.DefaultConfig())
+		err = mc.casino.Validate()
 	case ModelLSC:
 		mc.slice = orDefault(s.SliceCfg, slice.DefaultConfig(slice.LSC))
+		err = mc.slice.Validate()
 	case ModelFreeway:
 		mc.slice = orDefault(s.SliceCfg, slice.DefaultConfig(slice.Freeway))
+		err = mc.slice.Validate()
 	case ModelSpecInO:
 		mc.specino = orDefault(s.SpecInOCfg, specino.DefaultConfig(2, 1))
+		err = mc.specino.Validate()
 	default:
 		return modelConfig{}, fmt.Errorf("sim: unknown model %q (known: %v)", s.Model, Models())
+	}
+	if err != nil {
+		return modelConfig{}, fmt.Errorf("sim: model %q: %w", s.Model, err)
 	}
 	return mc, nil
 }

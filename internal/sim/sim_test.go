@@ -3,6 +3,12 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"casino/internal/core"
+	"casino/internal/ino"
+	"casino/internal/ooo"
+	"casino/internal/slice"
+	"casino/internal/specino"
 )
 
 func small() Options {
@@ -48,6 +54,50 @@ func TestRunAllModels(t *testing.T) {
 func TestRunUnknownModel(t *testing.T) {
 	if _, err := Run(Spec{Model: "vliw", Workload: "gcc"}); err == nil {
 		t.Error("unknown model accepted")
+	}
+}
+
+// A configuration its model cannot be built on is an error from Run:
+// before Validate, these panicked in a constructor or ran to the cycle cap.
+func TestRunRejectsInvalidConfigs(t *testing.T) {
+	mk := func(model string, edit func(*Spec)) Spec {
+		s := Spec{Model: model, Workload: "gcc", Ops: 2000, Warmup: 500, Seed: 1}
+		edit(&s)
+		return s
+	}
+	for name, s := range map[string]Spec{
+		"ooo SQSize 0":  mk(ModelOoO, func(s *Spec) { c := ooo.DefaultConfig(); c.SQSize = 0; s.OoOCfg = &c }),
+		"ooo IntPRF 10": mk(ModelOoO, func(s *Spec) { c := ooo.DefaultConfig(); c.IntPRF = 10; s.OoOCfg = &c }),
+		"ino Width 0":   mk(ModelInO, func(s *Spec) { c := ino.DefaultConfig(); c.Width = 0; s.InOCfg = &c }),
+		"ino IQSize 0":  mk(ModelInO, func(s *Spec) { c := ino.DefaultConfig(); c.IQSize = 0; s.InOCfg = &c }),
+		"lsc AQSize 0": mk(ModelLSC, func(s *Spec) {
+			c := slice.DefaultConfig(slice.LSC)
+			c.AQSize = 0
+			s.SliceCfg = &c
+		}),
+		"lsc WindowSize 0": mk(ModelLSC, func(s *Spec) {
+			c := slice.DefaultConfig(slice.LSC)
+			c.WindowSize = 0
+			s.SliceCfg = &c
+		}),
+		"casino IntPRF 16": mk(ModelCASINO, func(s *Spec) { c := core.DefaultConfig(); c.IntPRF = 16; s.CasinoCfg = &c }),
+		"specino FrontDepth 0": mk(ModelSpecInO, func(s *Spec) {
+			c := specino.DefaultConfig(2, 1)
+			c.FrontDepth = 0
+			s.SpecInOCfg = &c
+		}),
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: Run panicked: %v", name, p)
+				}
+			}()
+			_, err := Run(s)
+			if err == nil || strings.Contains(err.Error(), "cycle cap") {
+				t.Errorf("%s: Run error = %v, want a validation error", name, err)
+			}
+		}()
 	}
 }
 

@@ -13,6 +13,8 @@
 package slice
 
 import (
+	"fmt"
+
 	"casino/internal/bpred"
 	"casino/internal/energy"
 	"casino/internal/eventq"
@@ -62,6 +64,25 @@ func DefaultConfig(kind Kind) Config {
 		Kind: kind, Width: 2, AQSize: 32, BQSize: 32, YQSize: 32,
 		WindowSize: 128, SBSize: 16, ISTSize: 2048, FrontDepth: 5,
 	}
+}
+
+// Validate checks the limits the core is built on: a front end at least
+// one op wide and one stage deep, and at least one entry in the A-IQ, the
+// B-IQ, the window, the store buffer and the IST (an empty queue never
+// accepts an op, so the run would stall until the cycle cap). The Y-IQ may
+// be empty: Freeway's yielded ops then wait to enter the B-IQ.
+func (c Config) Validate() error {
+	if c.Width < 1 || c.FrontDepth < 1 {
+		return fmt.Errorf("slice: Width and FrontDepth must be positive, got %d and %d", c.Width, c.FrontDepth)
+	}
+	if c.AQSize < 1 || c.BQSize < 1 || c.WindowSize < 1 || c.SBSize < 1 || c.ISTSize < 1 {
+		return fmt.Errorf("slice: AQSize, BQSize, WindowSize, SBSize and ISTSize must be positive, got %d, %d, %d, %d and %d",
+			c.AQSize, c.BQSize, c.WindowSize, c.SBSize, c.ISTSize)
+	}
+	if c.YQSize < 0 {
+		return fmt.Errorf("slice: YQSize %d is negative", c.YQSize)
+	}
+	return nil
 }
 
 // entry is an in-flight instruction. Entries are pooled on a per-core
@@ -149,6 +170,9 @@ func New(cfg Config, tr *trace.Trace, hier *mem.Hierarchy, acct *energy.Accounta
 // fresh one. The sampled-simulation driver uses it to open detailed windows
 // mid-trace against warmed shared state.
 func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *mem.Hierarchy, acct *energy.Accountant) *Core {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	c := &Core{
 		cfg:  cfg,
 		hier: hier,

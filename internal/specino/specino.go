@@ -37,10 +37,13 @@ func DefaultConfig(ws, so int) Config {
 	return Config{Width: 2, IQSize: 16, WS: ws, SO: so, FrontDepth: 5}
 }
 
-// Validate checks the limits the core is built on: a window of at least
-// one entry that slides by at least one, and an IQ that fits the one-word
-// issue mask.
+// Validate checks the limits the core is built on: a front end at least
+// one op wide and one stage deep, a window of at least one entry that
+// slides by at least one, and an IQ that fits the one-word issue mask.
 func (c Config) Validate() error {
+	if c.Width < 1 || c.FrontDepth < 1 {
+		return fmt.Errorf("specino: Width and FrontDepth must be positive, got %d and %d", c.Width, c.FrontDepth)
+	}
 	if c.WS < 1 || c.SO < 1 {
 		return fmt.Errorf("specino: WS and SO must be positive, got WS=%d SO=%d", c.WS, c.SO)
 	}

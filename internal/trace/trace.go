@@ -36,31 +36,31 @@ func (t *Trace) Fingerprint() uint64 {
 	return t.fp
 }
 
-// Refingerprint computes an FNV-1a hash over every architecturally relevant
-// field of every op, unconditionally. Two traces with equal fingerprints
-// replay identically; a changed fingerprint after a run means a core
-// violated the read-only contract.
+// Refingerprint hashes every field of every op, unconditionally. Two
+// traces with equal fingerprints replay identically; a changed fingerprint
+// after a run means a core violated the read-only contract.
+//
+// The hash is FNV-1a over 64-bit words rather than bytes: the FNV-64
+// offset basis, then for each op the words Seq, PC, Addr, Target and
+// Class|Dst<<8|Src1<<16|Src2<<24|Size<<32|Taken<<40, each XORed into the
+// hash and multiplied by the FNV-64 prime. The prime is odd, so every step
+// is a bijection of the running hash: changing any one field of any op
+// always changes the result, at one multiply per word instead of eight.
 func (t *Trace) Refingerprint() uint64 {
+	const prime = 1099511628211
 	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
 	for i := range t.Ops {
 		op := &t.Ops[i]
-		mix(op.Seq)
-		mix(op.PC)
-		mix(op.Addr)
-		mix(op.Target)
 		b := uint64(op.Class) | uint64(op.Dst)<<8 | uint64(op.Src1)<<16 | uint64(op.Src2)<<24 |
 			uint64(op.Size)<<32
 		if op.Taken {
 			b |= 1 << 40
 		}
-		mix(b)
+		h = (h ^ op.Seq) * prime
+		h = (h ^ op.PC) * prime
+		h = (h ^ op.Addr) * prime
+		h = (h ^ op.Target) * prime
+		h = (h ^ b) * prime
 	}
 	return h
 }

@@ -158,6 +158,44 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// Changing any one field of any op must change Refingerprint, and equal
+// traces must hash equal: the golden gate and the trace cache's integrity
+// check both rely on it.
+func TestFingerprintSensitivity(t *testing.T) {
+	base := sampleTrace()
+	want := base.Refingerprint()
+	if got := sampleTrace().Refingerprint(); got != want {
+		t.Fatalf("equal traces hash %016x and %016x", want, got)
+	}
+	if got := base.Fingerprint(); got != want {
+		t.Fatalf("Fingerprint = %016x, Refingerprint = %016x", got, want)
+	}
+	edits := map[string]func(*isa.MicroOp){
+		"Seq":    func(op *isa.MicroOp) { op.Seq++ },
+		"PC":     func(op *isa.MicroOp) { op.PC ^= 1 << 63 },
+		"Addr":   func(op *isa.MicroOp) { op.Addr ^= 1 << 40 },
+		"Target": func(op *isa.MicroOp) { op.Target++ },
+		"Class":  func(op *isa.MicroOp) { op.Class = (op.Class + 1) % isa.NumClasses },
+		"Dst":    func(op *isa.MicroOp) { op.Dst ^= 1 },
+		"Src1":   func(op *isa.MicroOp) { op.Src1 ^= 0x80 },
+		"Src2":   func(op *isa.MicroOp) { op.Src2 ^= 2 },
+		"Size":   func(op *isa.MicroOp) { op.Size++ },
+		"Taken":  func(op *isa.MicroOp) { op.Taken = !op.Taken },
+	}
+	if n := reflect.TypeOf(isa.MicroOp{}).NumField(); n != len(edits) {
+		t.Fatalf("MicroOp has %d fields, the test edits %d: cover the new field", n, len(edits))
+	}
+	for name, edit := range edits {
+		for i := range base.Ops {
+			tr := sampleTrace()
+			edit(&tr.Ops[i])
+			if got := tr.Refingerprint(); got == want {
+				t.Errorf("changing %s of op %d left the fingerprint at %016x", name, i, got)
+			}
+		}
+	}
+}
+
 func TestCodecPropertyRoundTrip(t *testing.T) {
 	f := func(pc, addr, target uint64, class, dst, s1, s2, size uint8, taken bool) bool {
 		op := isa.MicroOp{
@@ -190,7 +228,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 
 // forgedCount is a 20-byte input that claims 2^32 ops: magic, version 1,
 // an empty name, the count, and the first 4 bytes of a record. Sizing the
-// op slice from the header would ask for 192 GiB.
+// op slice from the header would ask for 160 GiB.
 func forgedCount() []byte {
 	b := []byte(codecMagic)
 	b = binary.LittleEndian.AppendUint16(b, codecVersion)
