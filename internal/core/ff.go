@@ -87,11 +87,11 @@ func (c *Core) ffSig(s *ffSig) {
 
 // FastForward runs one real Cycle() and, if that cycle turned out idle,
 // jumps the clock toward `to`. The embedded cycle performs the exact
-// idle-cycle accounting — occupancy samples, stall diagnostics, the
-// scoreboard and RAT probe charges of the frozen window, the energy model's
-// static per-cycle costs — and its deltas are replayed in bulk for the
-// skipped cycles. Cycle() stays the single source of truth; FastForward
-// never re-derives a charge.
+// idle-cycle accounting — occupancy samples, stall diagnostics, CPI
+// buckets, and the energy accountant's charges (the frozen window's RAT and
+// scoreboard reads, the static per-cycle costs) — and its deltas are
+// replayed in bulk for the skipped cycles. Cycle() stays the single source
+// of truth; FastForward never re-derives a charge.
 //
 // Returns false when the embedded cycle changed observable state: the cycle
 // stands as a normal, fully-accounted cycle and nothing was skipped (the
@@ -105,12 +105,6 @@ func (c *Core) FastForward(to int64) bool {
 	c.ffSig(&sig)
 	c.acct.BeginDelta()
 	st0 := [6]uint64{c.StallIQFull, c.StallPReg, c.StallProdCount, c.StallROBSQ, c.StallFU, c.StallDataBuf}
-	sqReads0 := c.sq.Reads
-	ratReads0, scbReads0 := c.rf.RATReads, c.rf.SBReads
-	var sat0 uint64
-	if c.osca != nil {
-		sat0 = c.osca.Saturated
-	}
 	cpi0 := c.cpi
 	c.Cycle()
 	var sig2 ffSig
@@ -133,12 +127,6 @@ func (c *Core) FastForward(to int64) bool {
 	c.StallROBSQ += (c.StallROBSQ - st0[3]) * un
 	c.StallFU += (c.StallFU - st0[4]) * un
 	c.StallDataBuf += (c.StallDataBuf - st0[5]) * un
-	c.sq.Reads += (c.sq.Reads - sqReads0) * un
-	c.rf.RATReads += (c.rf.RATReads - ratReads0) * un
-	c.rf.SBReads += (c.rf.SBReads - scbReads0) * un
-	if c.osca != nil {
-		c.osca.Saturated += (c.osca.Saturated - sat0) * un
-	}
 	c.cpi.ScaleDelta(&cpi0, un)
 	c.OccSIQ.AddN(c.queues[0].len(), un)
 	c.OccIQ.AddN(c.queues[len(c.queues)-1].len(), un)

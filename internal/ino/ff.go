@@ -72,7 +72,7 @@ func (c *Core) ffSig() ffSig {
 func (c *Core) FastForward(to int64) bool {
 	sig := c.ffSig()
 	c.acct.BeginDelta()
-	src0, res0, sbReads0 := c.IssueStallsSrc, c.IssueStallsRes, c.sb.Reads
+	src0, res0 := c.IssueStallsSrc, c.IssueStallsRes
 	cpi0 := c.cpi
 	c.Cycle()
 	if c.ffSig() != sig {
@@ -89,7 +89,6 @@ func (c *Core) FastForward(to int64) bool {
 	c.acct.ScaleDelta(un)
 	c.IssueStallsSrc += (c.IssueStallsSrc - src0) * un
 	c.IssueStallsRes += (c.IssueStallsRes - res0) * un
-	c.sb.Reads += (c.sb.Reads - sbReads0) * un
 	c.cpi.ScaleDelta(&cpi0, un)
 	c.OccIQ.AddN(c.iq.len(), un)
 	c.OccSCB.AddN(c.win.len(), un)

@@ -2,15 +2,13 @@ package lsu
 
 // LoadQueue is the conventional LQ of the OoO baseline (Table I: 16
 // entries): a FIFO CAM of in-flight loads searched by resolving stores for
-// memory-order violations. CASINO's whole point is not needing one.
+// memory-order violations. CASINO's whole point is not needing one. It
+// keeps no activity counters: the cores bill its reads, writes and searches
+// to the energy accountant.
 type LoadQueue struct {
 	entries []lqEntry
 	head    int
 	count   int
-
-	Reads    uint64
-	Writes   uint64
-	Searches uint64
 }
 
 type lqEntry struct {
@@ -47,7 +45,6 @@ func (q *LoadQueue) Dispatch(seq, pc uint64) bool {
 	}
 	*q.at(q.count) = lqEntry{seq: seq, pc: pc}
 	q.count++
-	q.Writes++
 	return true
 }
 
@@ -56,7 +53,6 @@ func (q *LoadQueue) MarkIssued(seq uint64, addr uint64, size uint8) {
 	for i := 0; i < q.count; i++ {
 		if e := q.at(i); e.seq == seq {
 			e.addr, e.size, e.issued = addr, size, true
-			q.Writes++
 			return
 		}
 	}
@@ -67,7 +63,6 @@ func (q *LoadQueue) MarkIssued(seq uint64, addr uint64, size uint8) {
 // already-issued load younger than the store that overlaps the store's
 // address.
 func (q *LoadQueue) SearchViolation(storeSeq uint64, addr uint64, size uint8) (loadSeq uint64, loadPC uint64, found bool) {
-	q.Searches++
 	for i := 0; i < q.count; i++ {
 		e := q.at(i)
 		if e.seq <= storeSeq || !e.issued {
@@ -87,7 +82,6 @@ func (q *LoadQueue) Release(seq uint64) {
 	}
 	q.head = (q.head + 1) % len(q.entries)
 	q.count--
-	q.Reads++
 }
 
 // SquashYoungerThan drops entries with seq >= bound from the tail.

@@ -107,7 +107,7 @@ func TestOSCAReset(t *testing.T) {
 	o.Inc(0, 4)
 	o.LoadMaySearch(0, 4)
 	o.Reset()
-	if o.Counter(0) != 0 || o.Lookups != 0 || o.Incs != 0 {
+	if o.Counter(0) != 0 || o.Lookups != 0 {
 		t.Error("Reset incomplete")
 	}
 }

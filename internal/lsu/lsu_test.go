@@ -78,8 +78,8 @@ func TestSearchForLoadForwarding(t *testing.T) {
 	if res.Forward != nil || res.OldestUnresolved == nil || res.OldestUnresolved.Seq != 20 {
 		t.Errorf("disjoint search: %+v", res)
 	}
-	if q.Forwards != 2 || q.Searches != 3 {
-		t.Errorf("counters: forwards=%d searches=%d", q.Forwards, q.Searches)
+	if q.Searches != 3 {
+		t.Errorf("Searches = %d, want 3", q.Searches)
 	}
 }
 
@@ -249,9 +249,6 @@ func TestOSCASaturation(t *testing.T) {
 	o.Inc(0, 4)
 	if o.CanInc(0, 4) {
 		t.Error("saturated counter accepted increment")
-	}
-	if o.Saturated != 1 {
-		t.Errorf("Saturated = %d", o.Saturated)
 	}
 	if o.CanInc(16, 4) {
 		// different counter: must be allowed

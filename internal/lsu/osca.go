@@ -4,16 +4,15 @@ package lsu
 // direct-mapped, tagless array of saturating counters indexed by the low
 // address bits at 4-byte granularity. Counters track issued-but-not-retired
 // stores; a load whose counters are all zero provably cannot alias any
-// outstanding resolved store and skips its SQ/SB search.
+// outstanding resolved store and skips its SQ/SB search. Lookups and Skips
+// are published as oscaLookups and oscaSkips; the cores bill counter reads
+// and writes to the energy accountant.
 type OSCA struct {
 	counters []uint8
 	max      uint8
 
-	Lookups   uint64
-	Skips     uint64 // searches filtered out (all counters zero)
-	Incs      uint64
-	Decs      uint64
-	Saturated uint64 // increments refused because a counter was saturated
+	Lookups uint64 // load lookups (LoadMaySearch calls)
+	Skips   uint64 // searches filtered out (all counters zero)
 }
 
 // NewOSCA creates an array of n counters saturating at max (the paper uses
@@ -60,22 +59,8 @@ func (o *OSCA) each(addr uint64, size uint8, f func(i int)) {
 
 // CanInc reports whether a store covering [addr,addr+size) can be counted
 // without saturating (a saturated counter must stall the store's issue).
+// It has no side effects.
 func (o *OSCA) CanInc(addr uint64, size uint8) bool {
-	ok := true
-	o.each(addr, size, func(i int) {
-		if o.counters[i] >= o.max {
-			ok = false
-		}
-	})
-	if !ok {
-		o.Saturated++
-	}
-	return ok
-}
-
-// PeekCanInc is the side-effect-free variant of CanInc (no Saturated
-// count), used by the CPI classifier.
-func (o *OSCA) PeekCanInc(addr uint64, size uint8) bool {
 	ok := true
 	o.each(addr, size, func(i int) {
 		if o.counters[i] >= o.max {
@@ -87,7 +72,6 @@ func (o *OSCA) PeekCanInc(addr uint64, size uint8) bool {
 
 // Inc counts an issued store over its byte range.
 func (o *OSCA) Inc(addr uint64, size uint8) {
-	o.Incs++
 	o.each(addr, size, func(i int) {
 		if o.counters[i] < o.max {
 			o.counters[i]++
@@ -97,7 +81,6 @@ func (o *OSCA) Inc(addr uint64, size uint8) {
 
 // Dec removes a retired (or squashed) store.
 func (o *OSCA) Dec(addr uint64, size uint8) {
-	o.Decs++
 	o.each(addr, size, func(i int) {
 		if o.counters[i] > 0 {
 			o.counters[i]--
@@ -130,5 +113,5 @@ func (o *OSCA) Reset() {
 	for i := range o.counters {
 		o.counters[i] = 0
 	}
-	o.Lookups, o.Skips, o.Incs, o.Decs, o.Saturated = 0, 0, 0, 0, 0
+	o.Lookups, o.Skips = 0, 0
 }

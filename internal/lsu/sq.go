@@ -42,12 +42,11 @@ type StoreQueue struct {
 	count   int
 	wq      *eventq.Queue
 
-	// Activity counters (drive Fig. 8 and the energy model).
-	Searches       uint64 // associative searches (issue + commit validations)
-	Writes         uint64 // entry allocations/updates
-	Reads          uint64 // head reads for retirement
-	Forwards       uint64
-	SentinelsSet   uint64
+	// Searches counts associative searches (issue + commit validations;
+	// published as sqSearches). ViolationsSeen counts the commit-time
+	// validations that found a memory-order violation. The cores bill
+	// every other SQ access to the energy accountant themselves.
+	Searches       uint64
 	ViolationsSeen uint64
 }
 
@@ -91,7 +90,6 @@ func (q *StoreQueue) Dispatch(seq, pc uint64) bool {
 	e := q.at(q.count)
 	*e = SQEntry{Seq: seq, PC: pc, SentinelSeq: NoSeq}
 	q.count++
-	q.Writes++
 	return true
 }
 
@@ -116,7 +114,6 @@ func (q *StoreQueue) Resolve(seq uint64, addr uint64, size uint8, now, dataReady
 	e.ResolveCycle = now
 	e.DataReady = dataReady
 	q.wq.Wake(dataReady)
-	q.Writes++
 }
 
 // Commit marks the store as committed (it conceptually moves from the SQ
@@ -127,7 +124,6 @@ func (q *StoreQueue) Commit(seq uint64) {
 		panic(fmt.Sprintf("lsu: Commit of unknown store %d", seq))
 	}
 	e.Committed = true
-	q.Writes++
 }
 
 // Head returns the oldest entry, or nil if empty.
@@ -145,7 +141,6 @@ func (q *StoreQueue) HeadRetirable(now int64) bool {
 	if e == nil {
 		return false
 	}
-	q.Reads++
 	return e.Committed && e.Resolved && e.DataReady <= now &&
 		e.SentinelSeq == NoSeq && e.RetireDone == 0
 }
@@ -211,9 +206,6 @@ func (q *StoreQueue) SearchForLoad(loadSeq uint64, addr uint64, size uint8, sbOn
 			res.OldestUnresolved = e
 		}
 	}
-	if res.Forward != nil {
-		q.Forwards++
-	}
 	return res
 }
 
@@ -223,7 +215,6 @@ func (q *StoreQueue) SetSentinel(store *SQEntry, loadSeq uint64) {
 	if store.SentinelSeq == NoSeq || loadSeq > store.SentinelSeq {
 		store.SentinelSeq = loadSeq
 	}
-	q.SentinelsSet++
 }
 
 // ClearSentinel removes loadSeq's sentinel from any store it guards

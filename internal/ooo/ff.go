@@ -1,22 +1,15 @@
 package ooo
 
-import (
-	"casino/internal/eventq"
-	"casino/internal/isa"
-)
+import "casino/internal/eventq"
 
 // NextWake returns the earliest cycle >= now at which the core might make
-// progress, driving the event-driven clock. The O(1) pre-checks mirror the
-// dispatch gates and fetch — the streaming progress the wakeup queue does
-// not track — and the shared queue covers every timed event, so it never
-// scans the scheduler.
+// progress, driving the event-driven clock. The O(1) pre-checks ask
+// dispatch's own gate and fetch — the streaming progress the wakeup queue
+// does not track — and the shared queue covers every timed event, so it
+// never scans the scheduler.
 func (c *Core) NextWake() int64 {
 	now := c.now
-	if op := c.fe.Peek(0); op != nil &&
-		c.n < len(c.rob) && c.iqN < c.cfg.IQSize &&
-		!(op.Class == isa.Store && c.sq.Full()) &&
-		!(c.lq != nil && op.Class == isa.Load && c.lq.Full()) &&
-		!(op.HasDst() && !c.rf.CanAllocate(op.Dst)) {
+	if op := c.fe.Peek(0); op != nil && c.canDispatch(op) {
 		return now
 	}
 	if c.fe.NextFetchEvent(now) <= now {
@@ -86,7 +79,6 @@ func (c *Core) ffSig() ffSig {
 func (c *Core) FastForward(to int64) bool {
 	sig := c.ffSig()
 	c.acct.BeginDelta()
-	sqReads0 := c.sq.Reads
 	cpi0 := c.cpi
 	c.Cycle()
 	if c.ffSig() != sig {
@@ -101,7 +93,6 @@ func (c *Core) FastForward(to int64) bool {
 	}
 	un := uint64(n)
 	c.acct.ScaleDelta(un)
-	c.sq.Reads += (c.sq.Reads - sqReads0) * un
 	c.cpi.ScaleDelta(&cpi0, un)
 	c.OccROB.AddN(c.n, un)
 	c.OccIQ.AddN(c.iqN, un)

@@ -18,7 +18,10 @@ type PReg uint16
 // PRegNone marks an absent physical register.
 const PRegNone PReg = 0xFFFF
 
-// File is the renaming state: RAT + free lists + PRF scoreboard.
+// File is the renaming state: RAT + free lists + PRF scoreboard. Its reads
+// have no side effects: the cores bill RAT and scoreboard accesses to the
+// energy accountant at their own call sites, so a check that only asks
+// (the CPI classifier, NextWake) bills nothing.
 type File struct {
 	nInt, nFP int
 	rat       [isa.NumArchRegs]PReg
@@ -29,13 +32,7 @@ type File struct {
 	maxProd   uint8
 	wu        *wakeup // producer-push wakeup state (nil = disabled)
 
-	// Activity counters for the energy model.
-	RATReads  uint64
-	RATWrites uint64
-	SBReads   uint64 // scoreboard readiness checks
-	SBWrites  uint64
-	Allocs    uint64 // free-list pops (Fig. 7's allocation counts)
-	Frees     uint64
+	Allocs uint64 // free-list pops (Fig. 7a's allocation counts)
 }
 
 // New creates a file with nInt integer and nFP floating-point physical
@@ -79,7 +76,6 @@ func (f *File) Lookup(a isa.Reg) PReg {
 	if !a.Valid() {
 		return PRegNone
 	}
-	f.RATReads++
 	return f.rat[a]
 }
 
@@ -115,7 +111,6 @@ func (f *File) Allocate(a isa.Reg) (newP, oldP PReg, ok bool) {
 	*pool = (*pool)[:len(*pool)-1]
 	oldP = f.rat[a]
 	f.rat[a] = newP
-	f.RATWrites++
 	f.Allocs++
 	f.readyAt[newP] = notReady
 	f.producers[newP] = 0
@@ -128,7 +123,6 @@ func (f *File) Allocate(a isa.Reg) (newP, oldP PReg, ok bool) {
 // SetMapping restores the RAT entry for a to p (recovery).
 func (f *File) SetMapping(a isa.Reg, p PReg) {
 	f.rat[a] = p
-	f.RATWrites++
 }
 
 // Release returns p to its free list.
@@ -136,7 +130,6 @@ func (f *File) Release(p PReg) {
 	if p == PRegNone {
 		return
 	}
-	f.Frees++
 	if f.IsFP(p) {
 		f.freeFP = append(f.freeFP, p)
 	} else {
@@ -154,26 +147,6 @@ func (f *File) ReadyAt(p PReg) int64 {
 	if p == PRegNone {
 		return 0
 	}
-	f.SBReads++
-	return f.readyAt[p]
-}
-
-// PeekMapping reads the RAT entry for a without counting a RAT access.
-// The CPI classifiers use it so attributing a stalled cycle never perturbs
-// the activity counts the energy model bills.
-func (f *File) PeekMapping(a isa.Reg) PReg {
-	if !a.Valid() {
-		return PRegNone
-	}
-	return f.rat[a]
-}
-
-// PeekReadyAt is the side-effect-free variant of ReadyAt (no scoreboard
-// access count), for the CPI classifiers.
-func (f *File) PeekReadyAt(p PReg) int64 {
-	if p == PRegNone {
-		return 0
-	}
 	return f.readyAt[p]
 }
 
@@ -187,7 +160,6 @@ func (f *File) SetReadyAt(p PReg, c int64) {
 	if p == PRegNone {
 		return
 	}
-	f.SBWrites++
 	old := f.readyAt[p]
 	f.readyAt[p] = c
 	if f.wu != nil && old == notReady && c != notReady {
@@ -213,7 +185,6 @@ func (f *File) AddProducer(p PReg) {
 		panic("regfile: ProducerCount overflow — call CanAddProducer first")
 	}
 	f.producers[p]++
-	f.SBWrites++
 }
 
 // RemoveProducer counts the issue of one of p's pending writers.
@@ -222,7 +193,6 @@ func (f *File) RemoveProducer(p PReg) {
 		panic("regfile: ProducerCount underflow")
 	}
 	f.producers[p]--
-	f.SBWrites++
 }
 
 // InUse returns the number of allocated (non-free) registers in the pool.
@@ -250,13 +220,11 @@ type RecoveryEntry struct {
 type RecoveryLog struct {
 	entries []RecoveryEntry
 	head    int
-	Pushes  uint64
 }
 
 // Push records a speculative rename.
 func (l *RecoveryLog) Push(e RecoveryEntry) {
 	l.entries = append(l.entries, e)
-	l.Pushes++
 }
 
 // Commit discards entries older than seq (their instructions committed).

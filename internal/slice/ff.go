@@ -3,31 +3,15 @@ package slice
 import "casino/internal/eventq"
 
 // NextWake returns the earliest cycle >= now at which the core might make
-// progress, driving the event-driven clock. The pre-check mirrors the
-// dispatch steering read-only (Freeway's Y-IQ decision included) plus fetch;
-// every timed event — producer completions that unblock a queue head or
-// re-steer a dispatch, FU busy-until slots, SB retirement, stall expiries —
-// was registered on the shared queue when its time was stored.
+// progress, driving the event-driven clock. The pre-check asks dispatch's
+// own steering (Freeway's Y-IQ decision included) plus fetch; every timed
+// event — producer completions that unblock a queue head or re-steer a
+// dispatch, FU busy-until slots, SB retirement, stall expiries — was
+// registered on the shared queue when its time was stored.
 func (c *Core) NextWake() int64 {
 	now := c.now
 	if op := c.fe.Peek(0); op != nil && c.window.len() < c.window.cap() {
-		target := &c.aq
-		if op.Class.IsMem() || c.ist[op.PC] {
-			target = &c.bq
-			if c.cfg.Kind == Freeway {
-				var p1, p2 *entry
-				if op.Src1.Valid() {
-					p1 = c.lastWriter[op.Src1]
-				}
-				if op.Src2.Valid() {
-					p2 = c.lastWriter[op.Src2]
-				}
-				if c.dependsOnInFlightSliceLoad(p1, p2) {
-					target = &c.yq
-				}
-			}
-		}
-		if target.len() < target.cap() {
+		if q, _, _, _ := c.steer(op); q.len() < q.cap() {
 			return now
 		}
 	}
@@ -95,7 +79,6 @@ func (c *Core) ffSig() ffSig {
 func (c *Core) FastForward(to int64) bool {
 	sig := c.ffSig()
 	c.acct.BeginDelta()
-	sbReads0 := c.sb.Reads
 	cpi0 := c.cpi
 	c.Cycle()
 	if c.ffSig() != sig {
@@ -110,7 +93,6 @@ func (c *Core) FastForward(to int64) bool {
 	}
 	un := uint64(n)
 	c.acct.ScaleDelta(un)
-	c.sb.Reads += (c.sb.Reads - sbReads0) * un
 	c.cpi.ScaleDelta(&cpi0, un)
 	c.OccAQ.AddN(c.aq.len(), un)
 	c.OccBQ.AddN(c.bq.len(), un)
