@@ -108,6 +108,57 @@ func TestStallCountersPopulated(t *testing.T) {
 	}
 }
 
+// TestPreAllocatedHeadRegisterStall builds a first S-IQ head that younger
+// ops issue past (so it is pre-allocated) and that becomes ready only once
+// those ops hold every free register. Its wait for a register is a
+// stall.preg cycle, as it is for a head that is not pre-allocated.
+func TestPreAllocatedHeadRegisterStall(t *testing.T) {
+	// A missing load and ten independent ops that cannot commit before it
+	// hold 11 of the 16 free integer registers.
+	ops := []isa.MicroOp{{Class: isa.Load, Dst: isa.IntReg(1), Src1: isa.RegNone, Src2: isa.RegNone, Addr: 1 << 30, Size: 8}}
+	for i := 0; i < 10; i++ {
+		ops = append(ops, alu(isa.IntReg(6+i), isa.RegNone))
+	}
+	// Three consumers of the load pass to the IQ and saturate r5's
+	// ProducerCount, so the head below cannot pass.
+	for i := 0; i < 3; i++ {
+		ops = append(ops, alu(isa.IntReg(5), isa.IntReg(1)))
+	}
+	// The head waits 12 cycles for a divide while younger independent ops
+	// issue past it and take the remaining registers.
+	const head = 15
+	ops = append(ops,
+		isa.MicroOp{Class: isa.IntDiv, Dst: isa.IntReg(2), Src1: isa.RegNone, Src2: isa.RegNone},
+		alu(isa.IntReg(5), isa.IntReg(2)))
+	for i := 0; i < 8; i++ {
+		ops = append(ops, alu(isa.IntReg(6+i), isa.RegNone))
+	}
+	c := mkCore(DefaultConfig(), ops)
+	waits := uint64(0)
+	for i := 0; i < 100_000 && !c.Done(); i++ {
+		if q := &c.queues[0]; q.len() > 0 && q.at(0).op.Seq == head {
+			e := q.at(0)
+			if ready, _, _ := c.siqReady(0, e, c.now); ready && e.preAlloc && !c.rf.CanAllocate(e.op.Dst) {
+				waits++
+			}
+		}
+		c.Cycle()
+	}
+	if !c.Done() {
+		t.Fatal("livelock")
+	}
+	if waits < 100 {
+		t.Fatalf("the pre-allocated head waited %d cycles for a register; the trace no longer builds the case", waits)
+	}
+	// waits is sampled before each cycle. Nearly every wait is a stall.preg
+	// cycle; the few FU stalls are cycles in which a commit freed a
+	// register but the IQ took both issue slots.
+	if c.StallPReg < waits*9/10 || c.StallFU > waits/10 {
+		t.Errorf("stall.preg = %d, stall.fu = %d over %d register waits; want nearly all counted as stall.preg",
+			c.StallPReg, c.StallFU, waits)
+	}
+}
+
 func TestIssueCountersConsistent(t *testing.T) {
 	_, c := runProfile(t, DefaultConfig(), "gcc", 15000)
 	issues := c.IssuedSIQMem + c.IssuedSIQNonMem + c.IssuedIQMem + c.IssuedIQNonMem
