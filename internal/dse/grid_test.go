@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -177,4 +178,49 @@ func TestReadGridRejectsUnknownFields(t *testing.T) {
 	if g.Ops != 1000 {
 		t.Errorf("ops = %d", g.Ops)
 	}
+}
+
+// FuzzGrid sends arbitrary grid JSON through ReadGrid and Expand and runs
+// the first cells it expands to through sim.Run. Nothing may panic: a bad
+// grid is an error from ReadGrid or Expand, and a cell that expanded runs
+// or returns an error. Before running, the grid is clamped so each input
+// takes milliseconds: at most fuzzOps ops and fuzzWarmup warm-up ops per
+// cell, structure sizes and window widths of at most fuzzSize, and the
+// first fuzzCells cells. Unclamped, a size axis of 10^9 entries asks for
+// gigabytes at core construction.
+func FuzzGrid(f *testing.F) {
+	const fuzzOps, fuzzWarmup, fuzzSize, fuzzCells = 300, 100, 1024, 8
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadGrid(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		g.Expand() // the limits on the unclamped grid are errors, not panics
+		if g.Ops <= 0 || g.Ops > fuzzOps {
+			g.Ops = fuzzOps
+		}
+		if g.Warmup == 0 || g.Warmup > fuzzWarmup {
+			g.Warmup = fuzzWarmup
+		}
+		for _, axis := range [][]int{g.IQSizes, g.SBSizes, g.ROBSizes, g.OSCAWidths} {
+			for i := range axis {
+				axis[i] = min(axis[i], fuzzSize)
+			}
+		}
+		for i := range g.Geometries {
+			g.Geometries[i][0] = min(g.Geometries[i][0], fuzzSize)
+			g.Geometries[i][1] = min(g.Geometries[i][1], fuzzSize)
+		}
+		cells, err := g.Expand()
+		if err != nil {
+			return
+		}
+		for _, c := range cells[:min(len(cells), fuzzCells)] {
+			spec, err := c.Spec()
+			if err != nil {
+				t.Fatalf("expanded cell %s has no spec: %v", c.Key(), err)
+			}
+			sim.Run(spec)
+		}
+	})
 }

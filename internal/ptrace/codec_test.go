@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -106,6 +107,35 @@ func TestKanataRoundTrip(t *testing.T) {
 		t.Fatalf("timeline mismatch after Kanata round trip (%d vs %d recs)",
 			len(want.Recs), len(got.Recs))
 	}
+}
+
+// FuzzParseKanata feeds arbitrary bytes to ParseKanata, which must never
+// panic. When it accepts a log, re-encoding the events it returned drops
+// what the encoder always drops (events outside an instruction's
+// fetch-to-retire span) and sorts them by cycle; the log EncodeKanata
+// writes for that lifecycle stream must parse back to exactly it.
+func FuzzParseKanata(f *testing.F) {
+	roundTrip := func(t *testing.T, evs []Event) []Event {
+		var buf bytes.Buffer
+		if err := EncodeKanata(&buf, evs, nil); err != nil {
+			t.Fatalf("EncodeKanata: %v", err)
+		}
+		back, err := ParseKanata(&buf)
+		if err != nil {
+			t.Fatalf("ParseKanata of an encoded log: %v\n%s", err, buf.String())
+		}
+		return back
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := ParseKanata(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		lifecycle := roundTrip(t, evs)
+		if back := roundTrip(t, lifecycle); !slices.Equal(back, lifecycle) {
+			t.Fatalf("an encoded lifecycle stream parsed back differently:\n want %+v\n got  %+v", lifecycle, back)
+		}
+	})
 }
 
 func TestKanataRejectsGarbage(t *testing.T) {

@@ -159,7 +159,7 @@ func sanitizeKanata(s string) string {
 // and accepts only the record types the encoder emits.
 func ParseKanata(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("ptrace: empty Kanata log")
 	}
@@ -207,11 +207,11 @@ func ParseKanata(r io.Reader) ([]Event, error) {
 				return nil, bad("short I record")
 			}
 			id, err1 := atoi(f[1])
-			seq, err2 := atoi(f[2])
+			seq, err2 := strconv.ParseUint(f[2], 10, 64) // written unsigned
 			if err1 != nil || err2 != nil {
 				return nil, bad("bad I ids")
 			}
-			seqOf[int(id)] = uint64(seq)
+			seqOf[int(id)] = seq
 		case "S":
 			if len(f) < 4 {
 				return nil, bad("short S record")

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bufio"
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -84,4 +86,26 @@ func TestLintReportsEverything(t *testing.T) {
 			t.Errorf("joined error %q missing %q", err, want)
 		}
 	}
+}
+
+// FuzzLint feeds arbitrary bytes to Lint, which must never panic. When it
+// accepts a stream, the series count it returns is the number of sample
+// lines: every non-blank line that is not a # comment.
+func FuzzLint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := Lint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		samples := 0
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		for sc.Scan() {
+			if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
+				samples++
+			}
+		}
+		if n != samples {
+			t.Fatalf("Lint accepted %d sample lines but counted %d series", samples, n)
+		}
+	})
 }
