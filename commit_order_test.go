@@ -2,18 +2,21 @@ package casino
 
 // Architectural invariant across all core models: instructions commit
 // exactly once each, in program order (sequence numbers 0,1,2,...), no
-// matter how speculatively the model issued them. The cores expose an
-// OnCommit hook for this check.
+// matter how speculatively the model issued them. The check observes the
+// commit events every model publishes on the pipeline-event bus.
 
 import (
 	"testing"
 
+	"casino/internal/core"
 	"casino/internal/energy"
 	"casino/internal/ino"
 	"casino/internal/mem"
 	"casino/internal/ooo"
+	"casino/internal/ptrace"
 	"casino/internal/slice"
 	"casino/internal/specino"
+	"casino/internal/trace"
 	"casino/internal/workload"
 )
 
@@ -23,13 +26,16 @@ type commitWatch struct {
 	next uint64
 }
 
-func (cw *commitWatch) hook() func(uint64) {
-	return func(seq uint64) {
-		if seq != cw.next {
-			cw.t.Fatalf("%s: commit order violated: got %d, want %d", cw.name, seq, cw.next)
+func (cw *commitWatch) recorder() *ptrace.Recorder {
+	return ptrace.NewRecorder(ptrace.SinkFunc(func(e ptrace.Event) {
+		if e.Kind != ptrace.KindCommit {
+			return
+		}
+		if e.Seq != cw.next {
+			cw.t.Fatalf("%s: commit order violated: got %d, want %d", cw.name, e.Seq, cw.next)
 		}
 		cw.next++
-	}
+	}), ptrace.Window{})
 }
 
 func TestCommitOrderAllCores(t *testing.T) {
@@ -39,48 +45,41 @@ func TestCommitOrderAllCores(t *testing.T) {
 	type stepper interface {
 		Cycle()
 		Done() bool
-		Committed() uint64
+		SetPipeTrace(*ptrace.Recorder)
 	}
+	hier := func() *mem.Hierarchy { return mem.NewHierarchy(mem.DefaultConfig()) }
+	oooNoLQ := ooo.DefaultConfig()
+	oooNoLQ.NoLQ = true
 	cases := []struct {
 		name  string
-		build func(hook func(uint64)) stepper
+		build func(tr *trace.Trace) stepper
 	}{
-		{"ino", func(h func(uint64)) stepper {
-			c := ino.New(ino.DefaultConfig(), tr, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
-			c.OnCommit = h
-			return c
+		{"ino", func(tr *trace.Trace) stepper {
+			return ino.New(ino.DefaultConfig(), tr, hier(), energy.NewAccountant())
 		}},
-		{"ooo", func(h func(uint64)) stepper {
-			c := ooo.New(ooo.DefaultConfig(), tr, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
-			c.OnCommit = h
-			return c
+		{"ooo", func(tr *trace.Trace) stepper {
+			return ooo.New(ooo.DefaultConfig(), tr, hier(), energy.NewAccountant())
 		}},
-		{"ooo-nolq", func(h func(uint64)) stepper {
-			cfg := ooo.DefaultConfig()
-			cfg.NoLQ = true
-			c := ooo.New(cfg, tr, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
-			c.OnCommit = h
-			return c
+		{"ooo-nolq", func(tr *trace.Trace) stepper {
+			return ooo.New(oooNoLQ, tr, hier(), energy.NewAccountant())
 		}},
-		{"lsc", func(h func(uint64)) stepper {
-			c := slice.New(slice.DefaultConfig(slice.LSC), tr, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
-			c.OnCommit = h
-			return c
+		{"casino", func(tr *trace.Trace) stepper {
+			return core.New(core.DefaultConfig(), tr, hier(), energy.NewAccountant())
 		}},
-		{"freeway", func(h func(uint64)) stepper {
-			c := slice.New(slice.DefaultConfig(slice.Freeway), tr, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
-			c.OnCommit = h
-			return c
+		{"lsc", func(tr *trace.Trace) stepper {
+			return slice.New(slice.DefaultConfig(slice.LSC), tr, hier(), energy.NewAccountant())
 		}},
-		{"specino", func(h func(uint64)) stepper {
-			c := specino.New(specino.DefaultConfig(2, 1), tr, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
-			c.OnCommit = h
-			return c
+		{"freeway", func(tr *trace.Trace) stepper {
+			return slice.New(slice.DefaultConfig(slice.Freeway), tr, hier(), energy.NewAccountant())
+		}},
+		{"specino", func(tr *trace.Trace) stepper {
+			return specino.New(specino.DefaultConfig(2, 1), tr, hier(), energy.NewAccountant())
 		}},
 	}
 	for _, tc := range cases {
 		cw := &commitWatch{t: t, name: tc.name}
-		c := tc.build(cw.hook())
+		c := tc.build(tr)
+		c.SetPipeTrace(cw.recorder())
 		for i := 0; i < 100_000_000 && !c.Done(); i++ {
 			c.Cycle()
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"casino/internal/isa"
+	"casino/internal/pipeline"
 )
 
 // RenamingMode selects the renaming scheme (Fig. 7 ablation).
@@ -145,7 +146,8 @@ func WideConfig(width int) Config {
 	return c
 }
 
-// Validate checks configuration invariants.
+// Validate checks configuration invariants, among them that no structure
+// exceeds pipeline.MaxEntries.
 func (c Config) Validate() error {
 	if c.Width < 1 || c.SIQSize < 1 || c.IQSize < 1 || c.SQSize < 1 || c.FrontDepth < 1 ||
 		c.MidSIQs < 0 || c.MidSIQSize < 0 {
@@ -161,6 +163,10 @@ func (c Config) Validate() error {
 	}
 	if c.ROBSize < 4 {
 		return fmt.Errorf("core: ROB size %d is below the minimum of 4", c.ROBSize)
+	}
+	if max(c.SIQSize, c.MidSIQs, c.MidSIQSize, c.IQSize, c.LQSize, c.ROBSize, c.SQSize,
+		c.IntPRF, c.FPPRF, c.DataBufSize, c.OSCASize) > pipeline.MaxEntries {
+		return fmt.Errorf("core: a structure size exceeds the %d-entry limit: %+v", pipeline.MaxEntries, c)
 	}
 	if c.WS < 1 || c.SO < 1 || c.WS < c.SO {
 		return fmt.Errorf("core: need WS >= SO >= 1, got WS=%d SO=%d", c.WS, c.SO)

@@ -3,8 +3,6 @@ package core
 import (
 	"casino/internal/bpred"
 	"casino/internal/energy"
-	"casino/internal/eventq"
-	"casino/internal/frontend"
 	"casino/internal/isa"
 	"casino/internal/lsu"
 	"casino/internal/mem"
@@ -71,23 +69,17 @@ func liveProducer(p *opEntry, seq uint64) *opEntry {
 
 // Core is the CASINO core.
 type Core struct {
+	pipeline.Shell
+
 	cfg  Config
-	now  int64
-	fe   *frontend.FrontEnd
-	hier *mem.Hierarchy
-	fus  *pipeline.FUPool
-	acct *energy.Accountant
 	rf   *regfile.File
 	sq   *lsu.StoreQueue
 	lq   *lsu.LoadQueue // conventional LQ (DisambigFullLQ only)
 	osca *lsu.OSCA
 	log  regfile.RecoveryLog
-	wq   *eventq.Queue // shared wakeup queue (event-driven clock)
 
-	lineSent *lineSentinels   // TSO load-load ordering sentinels (§III-C4)
-	remote   *remoteInjector  // synthetic coherence traffic (nil = off)
-	pt       *ptrace.Recorder // optional pipeline-event recorder (nil = off)
-	cpi      ptrace.CPI       // per-cycle stall attribution (always on)
+	lineSent *lineSentinels  // TSO load-load ordering sentinels (§III-C4)
+	remote   *remoteInjector // synthetic coherence traffic (nil = off)
 
 	// queues[0] is the first S-IQ, queues[1..MidSIQs] the intermediate
 	// S-IQs, queues[len-1] the final in-order IQ. Older instructions live
@@ -107,8 +99,6 @@ type Core struct {
 	lastWriter [isa.NumArchRegs]*opEntry
 	dbUsed     int
 	flushed    bool // a violation flush occurred this cycle; abort scheduling
-
-	committed uint64
 
 	hSIQ, hIQ, hRAT, hScbd, hPRF, hROB, hSQ, hOSCA, hDB, hFL, hLog, hLQ int
 
@@ -156,9 +146,6 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	}
 	c := &Core{
 		cfg:          cfg,
-		hier:         hier,
-		fus:          pipeline.ScaledFUPool(cfg.Width),
-		acct:         acct,
 		rf:           regfile.New(cfg.IntPRF, cfg.FPPRF, uint8(cfg.MaxProducers)),
 		sq:           lsu.NewStoreQueue(cfg.SQSize),
 		rob:          newOpRing(cfg.ROBSize),
@@ -177,15 +164,6 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	}
 	c.lineSent = newLineSentinels()
 	c.remote = newRemoteInjector(cfg.Remote)
-	// Shared wakeup queue: sized for the in-flight event population (one
-	// completion per ROB/SQ entry plus stalls) so it never grows.
-	c.wq = eventq.New(2*(cfg.ROBSize+cfg.SQSize) + 16)
-	c.fus.SetWakeQueue(c.wq)
-	c.sq.SetWakeQueue(c.wq)
-	hier.SetWakeQueue(c.wq)
-	if c.remote != nil {
-		c.wq.Wake(c.remote.next)
-	}
 	nq := 2 + cfg.MidSIQs
 	c.queues = make([]opRing, nq)
 	c.queues[0] = newOpRing(cfg.SIQSize)
@@ -194,15 +172,15 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	}
 	c.queues[nq-1] = newOpRing(cfg.IQSize)
 	acct.FrontendScale = 1.4 // 9-stage pipeline vs the 7-stage InO
-	rd := tr.Reader()
-	rd.Seek(start)
-	if pred == nil {
-		pred = bpred.NewPredictor()
+	// Shared wakeup queue: sized for the in-flight event population (one
+	// completion per ROB/SQ entry plus stalls) so it never grows.
+	c.Init(c, cfg.Width, cfg.FrontDepth, 2*(cfg.ROBSize+cfg.SQSize)+16, tr, start, pred, hier, acct)
+	c.sq.SetWakeQueue(c.WQ)
+	if c.remote != nil {
+		c.WQ.Wake(c.remote.next)
 	}
-	c.fe = frontend.New(
-		frontend.Config{Width: cfg.Width, Depth: cfg.FrontDepth, BufCap: 2 * cfg.Width},
-		rd, pred, hier, acct)
-	c.fe.SetWakeQueue(c.wq)
+	c.ReplayCounters(&c.StallIQFull, &c.StallPReg, &c.StallProdCount, &c.StallROBSQ, &c.StallFU, &c.StallDataBuf)
+	c.ReplayHists(c.OccSIQ, c.OccIQ, c.OccROB, c.OccSQ)
 
 	siqEntries := cfg.SIQSize + cfg.MidSIQs*cfg.MidSIQSize
 	c.hSIQ = acct.Register(energy.Structure{Name: "S-IQ", Entries: siqEntries, Bits: 64, Ports: 2 * cfg.Width})
@@ -228,15 +206,6 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	return c
 }
 
-// Now returns the current cycle.
-func (c *Core) Now() int64 { return c.now }
-
-// Committed returns the number of committed micro-ops.
-func (c *Core) Committed() uint64 { return c.committed }
-
-// Mispredicts returns the front-end mispredict count.
-func (c *Core) Mispredicts() uint64 { return c.fe.Mispredicts }
-
 // RegAllocs returns physical-register allocation count (Fig. 7a).
 func (c *Core) RegAllocs() uint64 { return c.rf.Allocs }
 
@@ -248,7 +217,7 @@ func (c *Core) StoreQueue() *lsu.StoreQueue { return c.sq }
 
 // Done reports whether the trace is exhausted and the pipeline drained.
 func (c *Core) Done() bool {
-	if !c.fe.Done() || c.rob.len() != 0 || c.sq.Len() != 0 {
+	if !c.FE.Done() || c.rob.len() != 0 || c.sq.Len() != 0 {
 		return false
 	}
 	for i := range c.queues {
@@ -275,9 +244,9 @@ func (c *Core) RemoteStats() (invals, withheld, delayCycles uint64) {
 
 // Cycle advances the core by one clock.
 func (c *Core) Cycle() {
-	now := c.now
-	committed0, flushes0 := c.committed, c.Flushes
-	c.wq.Drain(now)
+	now := c.Clock
+	committed0, flushes0 := c.Commits, c.Flushes
+	c.WQ.Drain(now)
 	c.OccSIQ.Add(c.queues[0].len())
 	c.OccIQ.Add(c.queues[len(c.queues)-1].len())
 	c.OccROB.Add(c.rob.len())
@@ -286,17 +255,15 @@ func (c *Core) Cycle() {
 		next0 := r.next
 		r.tick(now, c.lineSent, c.rob.len())
 		if r.next != next0 {
-			c.wq.Wake(r.next)
+			c.WQ.Wake(r.next)
 		}
 	}
 	c.retireStores(now)
 	c.commit(now)
 	c.schedule(now)
 	c.dispatch()
-	c.fe.Cycle(now)
-	c.tickCPI(now, committed0, flushes0)
-	c.now++
-	c.acct.Cycles++
+	c.FE.Cycle(now)
+	c.EndCycle(c.classifyCycle(now, committed0, flushes0))
 }
 
 func (c *Core) robAt(i int) *opEntry { return c.rob.at(i) }
@@ -334,13 +301,13 @@ func (c *Core) recycleEntry(e *opEntry) {
 func (c *Core) retireStores(now int64) {
 	if c.sq.HeadRetirable(now) {
 		e := c.sq.Head()
-		done := c.hier.Store(e.PC, e.Addr, now)
-		c.acct.L1Access++
+		done := c.Hier.Store(e.PC, e.Addr, now)
+		c.Acct.L1Access++
 		c.sq.StartRetire(done)
 	}
 	if e, ok := c.sq.PopRetired(now); ok && c.osca != nil {
 		c.osca.Dec(e.Addr, e.Size)
-		c.acct.Inc(c.hOSCA, energy.Write, 1)
+		c.Acct.Inc(c.hOSCA, energy.Write, 1)
 	}
 }
 
@@ -352,14 +319,14 @@ func (c *Core) commit(now int64) {
 			return
 		}
 		op := e.op
-		c.acct.Inc(c.hROB, energy.Read, 1)
+		c.Acct.Inc(c.hROB, energy.Read, 1)
 		if op.Class == isa.Load {
 			if c.lq != nil {
 				c.lq.Release(op.Seq)
-				c.acct.Inc(c.hLQ, energy.Read, 1)
+				c.Acct.Inc(c.hLQ, energy.Read, 1)
 			} else if e.specLoad {
 				// On-commit value-check (§III-C4): replay the SB search.
-				c.acct.Inc(c.hSQ, energy.Search, 1)
+				c.Acct.Inc(c.hSQ, energy.Search, 1)
 				if c.sq.ValidateLoad(op.Seq, op.Addr, op.Size, e.issueCycle) {
 					c.flushFrom(op.Seq, now)
 					return
@@ -374,20 +341,20 @@ func (c *Core) commit(now int64) {
 		}
 		if op.Class == isa.Store {
 			c.sq.Commit(op.Seq)
-			c.acct.Inc(c.hSQ, energy.Write, 1)
+			c.Acct.Inc(c.hSQ, energy.Write, 1)
 		}
 		if e.newP != regfile.PRegNone {
 			c.rf.Release(e.oldP)
-			c.acct.Inc(c.hFL, energy.Write, 1)
+			c.Acct.Inc(c.hFL, energy.Write, 1)
 		}
 		if e.hasDB {
 			// Drain the data buffer value into the PRF.
 			c.dbUsed--
-			c.acct.Inc(c.hDB, energy.Read, 1)
-			c.acct.Inc(c.hPRF, energy.Write, 1)
+			c.Acct.Inc(c.hDB, energy.Read, 1)
+			c.Acct.Inc(c.hPRF, energy.Write, 1)
 		}
 		c.log.Commit(op.Seq)
-		c.emit(now, op.Seq, ptrace.KindCommit)
+		c.Emit(now, op.Seq, ptrace.KindCommit)
 		// A committed last-writer's value is architectural; clearing the
 		// reference here (rather than leaving a tombstone) is what lets
 		// the entry recycle safely.
@@ -395,7 +362,7 @@ func (c *Core) commit(now int64) {
 			c.lastWriter[op.Dst] = nil
 		}
 		c.rob.popFront()
-		c.committed++
+		c.Commits++
 		c.recycleEntry(e)
 	}
 }
@@ -409,9 +376,9 @@ func (c *Core) commit(now int64) {
 func (c *Core) flushFrom(victim uint64, now int64) {
 	c.Violations++
 	c.Flushes++
-	c.emit(now, victim, ptrace.KindFlush)
+	c.Emit(now, victim, ptrace.KindFlush)
 	// Undo speculative renames, youngest first.
-	c.acct.Inc(c.hLog, energy.Read, uint64(c.log.Len()))
+	c.Acct.Inc(c.hLog, energy.Read, uint64(c.log.Len()))
 	c.log.Unwind(c.rf, victim)
 	// ProducerCount recovery: dequeue squashed unissued queue residents.
 	// Squashed entries still waiting in the first S-IQ without a pre-
@@ -425,10 +392,10 @@ func (c *Core) flushFrom(victim uint64, now int64) {
 			func(e *opEntry) {
 				if !e.issued && e.newP == regfile.PRegNone && e.dstP != regfile.PRegNone {
 					c.rf.RemoveProducer(e.dstP)
-					c.acct.Inc(c.hScbd, energy.Write, 1)
+					c.Acct.Inc(c.hScbd, energy.Write, 1)
 				}
 				if !inROB && !e.preAlloc {
-					c.emit(now, e.op.Seq, ptrace.KindSquash)
+					c.Emit(now, e.op.Seq, ptrace.KindSquash)
 					c.recycleEntry(e)
 				}
 			})
@@ -442,7 +409,7 @@ func (c *Core) flushFrom(victim uint64, now int64) {
 		if e.hasDB {
 			c.dbUsed--
 		}
-		c.emit(now, e.op.Seq, ptrace.KindSquash)
+		c.Emit(now, e.op.Seq, ptrace.KindSquash)
 		c.rob.popBack()
 		c.recycleEntry(e)
 	}
@@ -450,7 +417,7 @@ func (c *Core) flushFrom(victim uint64, now int64) {
 	for _, se := range c.sq.SquashYoungerThan(victim) {
 		if se.Resolved && c.osca != nil {
 			c.osca.Dec(se.Addr, se.Size)
-			c.acct.Inc(c.hOSCA, energy.Write, 1)
+			c.Acct.Inc(c.hOSCA, energy.Write, 1)
 		}
 	}
 	c.sq.ClearAllSentinels()
@@ -465,19 +432,19 @@ func (c *Core) flushFrom(victim uint64, now int64) {
 			c.lastWriter[i] = nil
 		}
 	}
-	c.fe.Squash(victim, now)
+	c.FE.Squash(victim, now)
 }
 
 // dispatch moves decoded ops from the front end into the first S-IQ.
 func (c *Core) dispatch() {
 	q := &c.queues[0]
 	for k := 0; k < c.cfg.Width && q.len() < q.cap(); k++ {
-		op := c.fe.Pop()
+		op := c.FE.Pop()
 		if op == nil {
 			return
 		}
 		q.pushBack(c.allocEntry(op))
-		c.acct.Inc(c.hSIQ, energy.Write, 1)
-		c.emit(c.now, op.Seq, ptrace.KindDispatch)
+		c.Acct.Inc(c.hSIQ, energy.Write, 1)
+		c.Emit(c.Clock, op.Seq, ptrace.KindDispatch)
 	}
 }

@@ -20,16 +20,16 @@ func (c *Core) askEveryGate() {
 		for pos := 0; pos < q.len(); pos++ {
 			e := q.at(pos)
 			if qi == last {
-				c.iqReady(e, c.now)
+				c.iqReady(e, c.Clock)
 			} else {
-				c.siqReady(qi, e, c.now)
+				c.siqReady(qi, e, c.Clock)
 				c.exitResourcesOK(qi, e, pos)
 				c.passResourcesOK(qi, e)
 			}
 			c.missingResource(e)
 		}
 	}
-	c.classifyCycle(c.now, c.committed, c.Flushes)
+	c.classifyCycle(c.Clock, c.Commits, c.Flushes)
 }
 
 // acctCounts appends every energy-accountant count to buf[:0].
@@ -56,7 +56,7 @@ func gateRun(t *testing.T, cfg Config, tr *trace.Trace, ask bool) map[string]flo
 			before = acctCounts(acct, before)
 			c.askEveryGate()
 			if after = acctCounts(acct, after); !slices.Equal(before, after) {
-				t.Fatalf("cycle %d: asking the scheduling gates moved accountant counts %v to %v", c.now, before, after)
+				t.Fatalf("cycle %d: asking the scheduling gates moved accountant counts %v to %v", c.Clock, before, after)
 			}
 		}
 		c.Cycle()

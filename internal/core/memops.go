@@ -34,28 +34,28 @@ func (c *Core) issueLoad(e *opEntry, now int64, fromSIQ bool) int64 {
 		// Fully-OoO baseline: conventional LQ tracking; forwarding search
 		// only, violations are caught by resolving stores.
 		c.lq.MarkIssued(op.Seq, op.Addr, op.Size)
-		c.acct.Inc(c.hLQ, energy.Write, 1)
+		c.Acct.Inc(c.hLQ, energy.Write, 1)
 		res := c.sq.SearchForLoad(op.Seq, op.Addr, op.Size, false)
-		c.acct.Inc(c.hSQ, energy.Search, 1)
+		c.Acct.Inc(c.hSQ, energy.Search, 1)
 		if res.Forward != nil {
 			c.LoadsForwarded++
-			return agu + int64(c.hier.Config().L1Latency)
+			return agu + int64(c.Hier.Config().L1Latency)
 		}
-		done, _ := c.hier.Load(op.PC, op.Addr, agu)
-		c.acct.L1Access++
+		done, _ := c.Hier.Load(op.PC, op.Addr, agu)
+		c.Acct.L1Access++
 		return done
 	}
 
 	maySearch := true
 	if c.osca != nil {
-		c.acct.Inc(c.hOSCA, energy.Read, 1)
+		c.Acct.Inc(c.hOSCA, energy.Read, 1)
 		maySearch = c.osca.LoadMaySearch(op.Addr, op.Size)
 	}
 
 	speculative := fromSIQ && c.cfg.Disambig != DisambigAGIOrder
 	if maySearch {
 		res := c.sq.SearchForLoad(op.Seq, op.Addr, op.Size, false)
-		c.acct.Inc(c.hSQ, energy.Search, 1)
+		c.Acct.Inc(c.hSQ, energy.Search, 1)
 		if res.Forward != nil {
 			forwarded = true
 			c.LoadsForwarded++
@@ -68,7 +68,7 @@ func (c *Core) issueLoad(e *opEntry, now int64, fromSIQ bool) int64 {
 	} else if speculative {
 		// OSCA filtered the CAM search: only the per-entry Resolved flags
 		// are examined to guard against older unresolved stores (§IV-2).
-		c.acct.Inc(c.hSQ, energy.Read, 1)
+		c.Acct.Inc(c.hSQ, energy.Read, 1)
 		if st := c.sq.OldestUnresolvedOlder(op.Seq); st != nil {
 			c.sq.SetSentinel(st, op.Seq)
 			e.sentinel = true
@@ -77,10 +77,10 @@ func (c *Core) issueLoad(e *opEntry, now int64, fromSIQ bool) int64 {
 	}
 
 	if forwarded {
-		return agu + int64(c.hier.Config().L1Latency)
+		return agu + int64(c.Hier.Config().L1Latency)
 	}
-	done, _ := c.hier.Load(op.PC, op.Addr, agu)
-	c.acct.L1Access++
+	done, _ := c.Hier.Load(op.PC, op.Addr, agu)
+	c.Acct.L1Access++
 	return done
 }
 
@@ -90,15 +90,15 @@ func (c *Core) issueStore(e *opEntry, now int64) int64 {
 	op := e.op
 	agu := now + int64(op.Class.ExecLatency())
 	c.sq.Resolve(op.Seq, op.Addr, op.Size, agu, agu)
-	c.acct.Inc(c.hSQ, energy.Write, 1)
+	c.Acct.Inc(c.hSQ, energy.Write, 1)
 	if c.osca != nil {
 		c.osca.Inc(op.Addr, op.Size)
-		c.acct.Inc(c.hOSCA, energy.Write, 1)
+		c.Acct.Inc(c.hOSCA, energy.Write, 1)
 	}
 	if c.lq != nil {
 		// Conventional disambiguation: search the LQ for younger issued
 		// loads that read this address too early.
-		c.acct.Inc(c.hLQ, energy.Search, 1)
+		c.Acct.Inc(c.hLQ, energy.Search, 1)
 		if loadSeq, _, hit := c.lq.SearchViolation(op.Seq, op.Addr, op.Size); hit {
 			c.flushFrom(loadSeq, now)
 			c.flushed = true

@@ -44,5 +44,5 @@ func (c *Core) PublishMetrics(r *stats.Registry) {
 	r.Hist("occ.iq", c.OccIQ)
 	r.Hist("occ.rob", c.OccROB)
 	r.Hist("occ.sq", c.OccSQ)
-	c.cpi.Publish(r)
+	c.CPI.Publish(r)
 }

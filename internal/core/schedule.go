@@ -37,12 +37,12 @@ func (c *Core) processFinalIQ(now int64, slots *int) {
 	for *slots > 0 && q.len() > 0 {
 		e := q.at(0)
 		ready, scbReads := c.iqReady(e, now)
-		c.acct.Inc(c.hScbd, energy.Read, scbReads)
-		if !ready || c.missingResource(e) != resNone || !c.fus.Issue(e.op.Class, now) {
+		c.Acct.Inc(c.hScbd, energy.Read, scbReads)
+		if !ready || c.missingResource(e) != resNone || !c.FUs.Issue(e.op.Class, now) {
 			return
 		}
 		q.popFront()
-		c.acct.Inc(c.hIQ, energy.Read, 1)
+		c.Acct.Inc(c.hIQ, energy.Read, 1)
 		c.issueOp(e, now, false)
 		*slots--
 		if c.flushed {
@@ -65,18 +65,18 @@ func (c *Core) processSIQ(qi int, now int64, slots *int) {
 	for examined := 0; examined < c.cfg.WS && pos < q.len(); examined++ {
 		e := q.at(pos)
 		ready, ratReads, scbReads := c.siqReady(qi, e, now)
-		c.acct.Inc(c.hRAT, energy.Read, ratReads)
-		c.acct.Inc(c.hScbd, energy.Read, scbReads)
+		c.Acct.Inc(c.hRAT, energy.Read, ratReads)
+		c.Acct.Inc(c.hScbd, energy.Read, scbReads)
 		switch {
 		case ready && *slots > 0 && c.exitResourcesOK(qi, e, pos) &&
-			c.missingResource(e) == resNone && c.fus.CanIssue(e.op.Class, now):
+			c.missingResource(e) == resNone && c.FUs.CanIssue(e.op.Class, now):
 			if qi == 0 {
 				c.preAllocOlder(q, pos)
 				c.exitRename(e, true)
 			}
 			q.removeAt(pos)
-			c.acct.Inc(c.hSIQ, energy.Read, 1)
-			c.fus.Issue(e.op.Class, now)
+			c.Acct.Inc(c.hSIQ, energy.Read, 1)
+			c.FUs.Issue(e.op.Class, now)
 			c.issueOp(e, now, true)
 			*slots--
 			if c.flushed {
@@ -89,17 +89,17 @@ func (c *Core) processSIQ(qi int, now int64, slots *int) {
 				c.exitRename(e, false)
 			}
 			q.removeAt(0)
-			c.acct.Inc(c.hSIQ, energy.Read, 1)
+			c.Acct.Inc(c.hSIQ, energy.Read, 1)
 			e.queue = int8(qi + 1)
 			next.pushBack(e)
 			if qi+1 == len(c.queues)-1 {
-				c.acct.Inc(c.hIQ, energy.Write, 1)
+				c.Acct.Inc(c.hIQ, energy.Write, 1)
 				c.PassedToIQ++
 				c.recordProducerDistance(e)
 			} else {
-				c.acct.Inc(c.hSIQ, energy.Write, 1)
+				c.Acct.Inc(c.hSIQ, energy.Write, 1)
 			}
-			c.emit(now, e.op.Seq, ptrace.KindPass)
+			c.Emit(now, e.op.Seq, ptrace.KindPass)
 			passes++
 		default:
 			if pos == 0 && qi == 0 {
@@ -149,7 +149,7 @@ func (c *Core) preAllocOlder(q *opRing, pos int) {
 		c.captureSources(e)
 		c.dispatchMemEntry(e)
 		c.rob.pushBack(e)
-		c.acct.Inc(c.hROB, energy.Write, 1)
+		c.Acct.Inc(c.hROB, energy.Write, 1)
 		e.preAlloc = true
 	}
 }
@@ -335,14 +335,14 @@ func (c *Core) exitRename(e *opEntry, issuing bool) {
 				panic("core: allocate failed after resource check")
 			}
 			e.newP, e.oldP, e.dstP = newP, oldP, newP
-			c.acct.Inc(c.hRAT, energy.Write, 1)
-			c.acct.Inc(c.hFL, energy.Read, 1)
+			c.Acct.Inc(c.hRAT, energy.Write, 1)
+			c.Acct.Inc(c.hFL, energy.Read, 1)
 			c.log.Push(regfile.RecoveryEntry{Seq: op.Seq, Arch: op.Dst, Old: oldP, New: newP})
-			c.acct.Inc(c.hLog, energy.Write, 1)
+			c.Acct.Inc(c.hLog, energy.Write, 1)
 		} else {
 			e.dstP = c.rf.Lookup(op.Dst)
 			c.rf.AddProducer(e.dstP)
-			c.acct.Inc(c.hScbd, energy.Write, 1)
+			c.Acct.Inc(c.hScbd, energy.Write, 1)
 		}
 		c.lastWriter[op.Dst] = e
 	}
@@ -351,7 +351,7 @@ func (c *Core) exitRename(e *opEntry, issuing bool) {
 	}
 	c.dispatchMemEntry(e)
 	c.rob.pushBack(e)
-	c.acct.Inc(c.hROB, energy.Write, 1)
+	c.Acct.Inc(c.hROB, energy.Write, 1)
 }
 
 // dispatchMemEntry allocates the LSU tracking entry for a memory op
@@ -360,11 +360,11 @@ func (c *Core) dispatchMemEntry(e *opEntry) {
 	switch e.op.Class {
 	case isa.Store:
 		c.sq.Dispatch(e.op.Seq, e.op.PC)
-		c.acct.Inc(c.hSQ, energy.Write, 1)
+		c.Acct.Inc(c.hSQ, energy.Write, 1)
 	case isa.Load:
 		if c.lq != nil {
 			c.lq.Dispatch(e.op.Seq, e.op.PC)
-			c.acct.Inc(c.hLQ, energy.Write, 1)
+			c.Acct.Inc(c.hLQ, energy.Write, 1)
 		}
 	}
 }
@@ -430,8 +430,8 @@ func (c *Core) issueOp(e *opEntry, now int64, fromSIQ bool) {
 	e.issued = true
 	e.issueCycle = now
 	e.queue = -1
-	c.countFU(op.Class)
-	c.acct.Inc(c.hPRF, energy.Read, 2)
+	c.CountFU(op.Class)
+	c.Acct.Inc(c.hPRF, energy.Read, 2)
 
 	switch op.Class {
 	case isa.Load:
@@ -440,14 +440,14 @@ func (c *Core) issueOp(e *opEntry, now int64, fromSIQ bool) {
 		e.done = c.issueStore(e, now)
 	case isa.Branch:
 		e.done = now + int64(op.Class.ExecLatency())
-		c.fe.BranchResolved(op.Seq, e.done)
+		c.FE.BranchResolved(op.Seq, e.done)
 	default:
 		e.done = now + int64(op.Class.ExecLatency())
 	}
 	// A completion next cycle needs no wakeup: this issue already makes the
 	// current cycle non-idle, so no jump can start before the effect lands.
 	if e.done > now+1 {
-		c.wq.Wake(e.done)
+		c.WQ.Wake(e.done)
 	}
 
 	if e.newP != regfile.PRegNone {
@@ -461,7 +461,7 @@ func (c *Core) issueOp(e *opEntry, now int64, fromSIQ bool) {
 		}
 		c.dbUsed++
 		e.hasDB = true
-		c.acct.Inc(c.hDB, energy.Write, 1)
+		c.Acct.Inc(c.hDB, energy.Write, 1)
 	}
 
 	if fromSIQ {
@@ -470,25 +470,14 @@ func (c *Core) issueOp(e *opEntry, now int64, fromSIQ bool) {
 		} else {
 			c.IssuedSIQNonMem++
 		}
-		c.emit(now, op.Seq, ptrace.KindIssueSpec)
+		c.Emit(now, op.Seq, ptrace.KindIssueSpec)
 	} else {
 		if op.Class.IsMem() {
 			c.IssuedIQMem++
 		} else {
 			c.IssuedIQNonMem++
 		}
-		c.emit(now, op.Seq, ptrace.KindIssue)
+		c.Emit(now, op.Seq, ptrace.KindIssue)
 	}
-	c.emit(e.done, op.Seq, ptrace.KindComplete)
-}
-
-func (c *Core) countFU(class isa.Class) {
-	switch class.FU() {
-	case isa.FUFP:
-		c.acct.FPOps++
-	case isa.FUAGU:
-		c.acct.AGUOps++
-	default:
-		c.acct.IntOps++
-	}
+	c.Emit(e.done, op.Seq, ptrace.KindComplete)
 }

@@ -138,7 +138,7 @@ func TestPreAllocatedHeadRegisterStall(t *testing.T) {
 	for i := 0; i < 100_000 && !c.Done(); i++ {
 		if q := &c.queues[0]; q.len() > 0 && q.at(0).op.Seq == head {
 			e := q.at(0)
-			if ready, _, _ := c.siqReady(0, e, c.now); ready && e.preAlloc && !c.rf.CanAllocate(e.op.Dst) {
+			if ready, _, _ := c.siqReady(0, e, c.Clock); ready && e.preAlloc && !c.rf.CanAllocate(e.op.Dst) {
 				waits++
 			}
 		}

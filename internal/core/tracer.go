@@ -2,45 +2,15 @@ package core
 
 import "casino/internal/ptrace"
 
-// SetPipeTrace installs (or removes, with nil) a pipeline-event recorder.
-// The front end shares the recorder so fetch events join the same stream.
-func (c *Core) SetPipeTrace(rec *ptrace.Recorder) {
-	c.pt = rec
-	c.fe.SetPipeTrace(rec)
-}
-
-// CPIStack exposes the per-cycle stall attribution accumulated so far.
-func (c *Core) CPIStack() *ptrace.CPI { return &c.cpi }
-
-// Recycle returns pooled resources (the branch predictor) at end of run.
-// The core must not be cycled afterwards.
-func (c *Core) Recycle() { c.fe.RecyclePredictor() }
-
-func (c *Core) emit(cycle int64, seq uint64, k ptrace.Kind) {
-	if c.pt != nil {
-		c.pt.Emit(ptrace.Event{Cycle: cycle, Seq: seq, Kind: k})
-	}
-}
-
-// tickCPI attributes the cycle that just executed to exactly one CPI
-// bucket and, when a recorder is active, publishes non-base cycles as
-// stall events tagged with the culprit instruction. It runs after every
-// pipeline stage of the cycle and asks the scheduler's own predicates,
-// which have no side effects (the scheduler bills their reads at its call
-// site), so the attribution never perturbs the energy accounting.
-func (c *Core) tickCPI(now int64, committed0, flushes0 uint64) {
-	b, seq := c.classifyCycle(now, committed0, flushes0)
-	c.cpi.Add(b)
-	if c.pt != nil && b != ptrace.BucketBase {
-		c.pt.Emit(ptrace.Event{Cycle: now, Seq: seq, Kind: ptrace.KindStall, Stall: b})
-	}
-}
-
 // classifyCycle decides the cycle's CPI bucket: base if anything committed,
 // replay if a flush fired, otherwise the reason the oldest in-flight
-// instruction (the commit bottleneck) has not retired yet.
+// instruction (the commit bottleneck) has not retired yet. It runs after
+// every pipeline stage of the cycle and asks the scheduler's own
+// predicates, which have no side effects (the scheduler bills their reads
+// at its call site), so the attribution never perturbs the energy
+// accounting.
 func (c *Core) classifyCycle(now int64, committed0, flushes0 uint64) (ptrace.Bucket, uint64) {
-	if c.committed > committed0 {
+	if c.Commits > committed0 {
 		return ptrace.BucketBase, 0
 	}
 	if c.Flushes > flushes0 {
@@ -90,7 +60,7 @@ func (c *Core) classifyCycle(now int64, committed0, flushes0 uint64) (ptrace.Buc
 		}
 		return ptrace.BucketSrc, e.op.Seq
 	}
-	if !c.fe.Done() {
+	if !c.FE.Done() {
 		return ptrace.BucketICache, 0
 	}
 	return ptrace.BucketDrain, 0

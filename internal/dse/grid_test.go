@@ -76,6 +76,13 @@ func TestGridValidation(t *testing.T) {
 		{Models: []string{"casino"}, Workloads: []string{"mcf"}, OSCAWidths: []int{48}},        // not power of two
 		{Models: []string{"specino"}, Workloads: []string{"mcf"}, IQSizes: []int{100}},         // IQ beyond the 64-bit issue mask
 		{Models: []string{"casino"}, Workloads: []string{"mcf"}, SBSizes: []int{256}},          // SQ beyond the OSCA's 8-bit counters
+		// Structures beyond pipeline.MaxEntries, which a core would size
+		// per-entry arrays from at construction.
+		{Models: []string{"ooo"}, Workloads: []string{"mcf"}, ROBSizes: []int{1_000_000_000}},
+		{Models: []string{"casino"}, Workloads: []string{"mcf"}, IQSizes: []int{1_000_000_000}},
+		{Models: []string{"ino"}, Workloads: []string{"mcf"}, IQSizes: []int{1_000_000_000}},
+		{Models: []string{"lsc"}, Workloads: []string{"mcf"}, SBSizes: []int{1_000_000_000}},
+		{Models: []string{"casino"}, Workloads: []string{"mcf"}, OSCAWidths: []int{1 << 40}},
 	}
 	for i, g := range bad {
 		if _, err := g.Expand(); err == nil {

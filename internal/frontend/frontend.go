@@ -129,7 +129,7 @@ func (f *FrontEnd) Cycle(now int64) {
 // fetch is blocked on something only the core can clear (an unresolved
 // mispredicted branch, a full dispatch buffer, an exhausted trace). Those
 // unblock through a core cycle's own progress, which the event-driven
-// driver never jumps across. The models' NextWake pre-checks call it.
+// driver never jumps across. The core shell's NextWake pre-check calls it.
 func (f *FrontEnd) NextFetchEvent(now int64) int64 {
 	if f.blockedOn != NoSeq || f.n >= f.cfg.BufCap || f.rd.Peek(0) == nil {
 		return eventq.NoEvent

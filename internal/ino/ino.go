@@ -12,8 +12,6 @@ import (
 
 	"casino/internal/bpred"
 	"casino/internal/energy"
-	"casino/internal/eventq"
-	"casino/internal/frontend"
 	"casino/internal/isa"
 	"casino/internal/lsu"
 	"casino/internal/mem"
@@ -38,9 +36,10 @@ func DefaultConfig() Config {
 }
 
 // Validate checks the limits the core is built on: a front end at least
-// one op wide and one stage deep, and at least one entry in the IQ, the
-// SCB window and the store buffer (an empty queue never accepts an op, so
-// the run would stall until the cycle cap).
+// one op wide and one stage deep, and between one and
+// pipeline.MaxEntries entries in the IQ, the SCB window and the store
+// buffer (an empty queue never accepts an op, so the run would stall until
+// the cycle cap).
 func (c Config) Validate() error {
 	if c.Width < 1 || c.FrontDepth < 1 {
 		return fmt.Errorf("ino: Width and FrontDepth must be positive, got %d and %d", c.Width, c.FrontDepth)
@@ -48,6 +47,10 @@ func (c Config) Validate() error {
 	if c.IQSize < 1 || c.SCBSize < 1 || c.SBSize < 1 {
 		return fmt.Errorf("ino: IQSize, SCBSize and SBSize must be positive, got %d, %d and %d",
 			c.IQSize, c.SCBSize, c.SBSize)
+	}
+	if max(c.IQSize, c.SCBSize, c.SBSize) > pipeline.MaxEntries {
+		return fmt.Errorf("ino: IQSize, SCBSize and SBSize must be at most %d, got %d, %d and %d",
+			pipeline.MaxEntries, c.IQSize, c.SCBSize, c.SBSize)
 	}
 	return nil
 }
@@ -100,29 +103,16 @@ func (r *entRing) popFront() {
 
 // Core is the baseline in-order core.
 type Core struct {
-	cfg  Config
-	now  int64
-	fe   *frontend.FrontEnd
-	hier *mem.Hierarchy
-	fus  *pipeline.FUPool
-	acct *energy.Accountant
-	sb   *lsu.StoreQueue
-	wq   *eventq.Queue // shared wakeup queue (event-driven clock)
+	pipeline.Shell
+
+	cfg Config
+	sb  *lsu.StoreQueue
 
 	iq  entRing // dispatched, waiting to issue (FIFO)
 	win entRing // issued, waiting for in-order write-back (SCB window)
 
 	regReady [isa.NumArchRegs]int64
-
-	pt  *ptrace.Recorder // optional pipeline-event recorder (nil = off)
-	cpi ptrace.CPI       // per-cycle stall attribution (always on)
-
-	committed uint64
-	lastWB    int64
-
-	// OnCommit, when non-nil, observes each committed sequence number
-	// (architectural-invariant checking in tests).
-	OnCommit func(seq uint64)
+	lastWB   int64
 
 	// Structure handles for the energy model.
 	hIQ, hSCB, hARF, hSB int
@@ -152,31 +142,19 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 		panic(err)
 	}
 	c := &Core{
-		cfg:  cfg,
-		hier: hier,
-		fus:  pipeline.ScaledFUPool(cfg.Width),
-		acct: acct,
-		sb:   lsu.NewStoreQueue(cfg.SBSize),
-		iq:   newEntRing(cfg.IQSize),
-		win:  newEntRing(cfg.SCBSize),
+		cfg: cfg,
+		sb:  lsu.NewStoreQueue(cfg.SBSize),
+		iq:  newEntRing(cfg.IQSize),
+		win: newEntRing(cfg.SCBSize),
 
 		OccIQ:  stats.NewHist(cfg.IQSize + 1),
 		OccSCB: stats.NewHist(cfg.SCBSize + 1),
 		OccSB:  stats.NewHist(cfg.SBSize + 1),
 	}
-	c.wq = eventq.New(2*(cfg.SCBSize+cfg.SBSize) + 16)
-	c.fus.SetWakeQueue(c.wq)
-	c.sb.SetWakeQueue(c.wq)
-	hier.SetWakeQueue(c.wq)
-	rd := tr.Reader()
-	rd.Seek(start)
-	if pred == nil {
-		pred = bpred.NewPredictor()
-	}
-	c.fe = frontend.New(
-		frontend.Config{Width: cfg.Width, Depth: cfg.FrontDepth, BufCap: 2 * cfg.Width},
-		rd, pred, hier, acct)
-	c.fe.SetWakeQueue(c.wq)
+	c.Init(c, cfg.Width, cfg.FrontDepth, 2*(cfg.SCBSize+cfg.SBSize)+16, tr, start, pred, hier, acct)
+	c.sb.SetWakeQueue(c.WQ)
+	c.ReplayCounters(&c.IssueStallsSrc, &c.IssueStallsRes)
+	c.ReplayHists(c.OccIQ, c.OccSCB, c.OccSB)
 	c.hIQ = acct.Register(energy.Structure{Name: "IQ", Entries: cfg.IQSize, Bits: 64, Ports: 2 * cfg.Width})
 	c.hSCB = acct.Register(energy.Structure{Name: "SCB", Entries: cfg.SCBSize, Bits: 48, Ports: 2 * cfg.Width})
 	c.hARF = acct.Register(energy.Structure{Name: "ARF", Entries: isa.NumArchRegs, Bits: 64, Ports: 3 * cfg.Width})
@@ -184,25 +162,16 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	return c
 }
 
-// Now returns the current cycle.
-func (c *Core) Now() int64 { return c.now }
-
-// Committed returns the number of committed micro-ops.
-func (c *Core) Committed() uint64 { return c.committed }
-
 // Done reports whether the trace is exhausted and the pipeline drained.
 func (c *Core) Done() bool {
-	return c.fe.Done() && c.iq.len() == 0 && c.win.len() == 0 && c.sb.Len() == 0
+	return c.FE.Done() && c.iq.len() == 0 && c.win.len() == 0 && c.sb.Len() == 0
 }
-
-// Mispredicts returns front-end branch mispredict count.
-func (c *Core) Mispredicts() uint64 { return c.fe.Mispredicts }
 
 // Cycle advances the core by one clock.
 func (c *Core) Cycle() {
-	now := c.now
-	committed0 := c.committed
-	c.wq.Drain(now)
+	now := c.Clock
+	committed0 := c.Commits
+	c.WQ.Drain(now)
 	c.OccIQ.Add(c.iq.len())
 	c.OccSCB.Add(c.win.len())
 	c.OccSB.Add(c.sb.Len())
@@ -210,46 +179,15 @@ func (c *Core) Cycle() {
 	c.writeback(now)
 	c.issue(now)
 	c.dispatch()
-	c.fe.Cycle(now)
-	c.tickCPI(now, committed0)
-	c.now++
-	c.acct.Cycles++
-}
-
-// SetPipeTrace installs (or removes, with nil) a pipeline-event recorder.
-func (c *Core) SetPipeTrace(rec *ptrace.Recorder) {
-	c.pt = rec
-	c.fe.SetPipeTrace(rec)
-}
-
-// CPIStack exposes the per-cycle stall attribution accumulated so far.
-func (c *Core) CPIStack() *ptrace.CPI { return &c.cpi }
-
-// Recycle returns pooled resources (the branch predictor) at end of run.
-// The core must not be cycled afterwards.
-func (c *Core) Recycle() { c.fe.RecyclePredictor() }
-
-func (c *Core) emit(cycle int64, seq uint64, k ptrace.Kind) {
-	if c.pt != nil {
-		c.pt.Emit(ptrace.Event{Cycle: cycle, Seq: seq, Kind: k})
-	}
-}
-
-// tickCPI attributes the cycle that just executed to exactly one CPI
-// bucket, publishing non-base cycles as stall events when tracing is on.
-func (c *Core) tickCPI(now int64, committed0 uint64) {
-	b, seq := c.classifyCycle(now, committed0)
-	c.cpi.Add(b)
-	if c.pt != nil && b != ptrace.BucketBase {
-		c.pt.Emit(ptrace.Event{Cycle: now, Seq: seq, Kind: ptrace.KindStall, Stall: b})
-	}
+	c.FE.Cycle(now)
+	c.EndCycle(c.classifyCycle(now, committed0))
 }
 
 // classifyCycle decides the cycle's CPI bucket: base if anything
 // committed, otherwise why the oldest in-flight instruction has not
 // written back yet. Runs after every pipeline stage using pure reads only.
 func (c *Core) classifyCycle(now int64, committed0 uint64) (ptrace.Bucket, uint64) {
-	if c.committed > committed0 {
+	if c.Commits > committed0 {
 		return ptrace.BucketBase, 0
 	}
 	if c.win.len() > 0 {
@@ -275,7 +213,7 @@ func (c *Core) classifyCycle(now int64, committed0 uint64) (ptrace.Bucket, uint6
 		}
 		return ptrace.BucketFU, e.op.Seq
 	}
-	if !c.fe.Done() {
+	if !c.FE.Done() {
 		return ptrace.BucketICache, 0
 	}
 	return ptrace.BucketDrain, 0
@@ -285,8 +223,8 @@ func (c *Core) classifyCycle(now int64, committed0 uint64) (ptrace.Bucket, uint6
 func (c *Core) retireStores(now int64) {
 	if c.sb.HeadRetirable(now) {
 		e := c.sb.Head()
-		done := c.hier.Store(e.PC, e.Addr, now)
-		c.acct.L1Access++
+		done := c.Hier.Store(e.PC, e.Addr, now)
+		c.Acct.L1Access++
 		c.sb.StartRetire(done)
 	}
 	c.sb.PopRetired(now)
@@ -311,19 +249,16 @@ func (c *Core) writeback(now int64) {
 			c.sb.Dispatch(e.op.Seq, e.op.PC)
 			c.sb.Resolve(e.op.Seq, e.op.Addr, e.op.Size, now, e.done)
 			c.sb.Commit(e.op.Seq)
-			c.acct.Inc(c.hSB, energy.Write, 1)
+			c.Acct.Inc(c.hSB, energy.Write, 1)
 		}
 		c.lastWB = wb
 		if e.op.HasDst() {
-			c.acct.Inc(c.hARF, energy.Write, 1)
+			c.Acct.Inc(c.hARF, energy.Write, 1)
 		}
-		c.acct.Inc(c.hSCB, energy.Write, 1)
-		if c.OnCommit != nil {
-			c.OnCommit(e.op.Seq)
-		}
-		c.emit(now, e.op.Seq, ptrace.KindCommit)
+		c.Acct.Inc(c.hSCB, energy.Write, 1)
+		c.Emit(now, e.op.Seq, ptrace.KindCommit)
 		c.win.popFront()
-		c.committed++
+		c.Commits++
 	}
 }
 
@@ -333,34 +268,34 @@ func (c *Core) issue(now int64) {
 	for n := 0; n < c.cfg.Width && c.iq.len() > 0; n++ {
 		e := c.iq.at(0)
 		op := e.op
-		c.acct.Inc(c.hSCB, energy.Read, 1)
+		c.Acct.Inc(c.hSCB, energy.Read, 1)
 		if !c.srcsReady(op, now) {
 			c.IssueStallsSrc++
 			return
 		}
-		if c.win.len() >= c.cfg.SCBSize || !c.fus.CanIssue(op.Class, now) {
+		if c.win.len() >= c.cfg.SCBSize || !c.FUs.CanIssue(op.Class, now) {
 			c.IssueStallsRes++
 			return
 		}
-		c.fus.Issue(op.Class, now)
-		c.countFU(op.Class)
-		c.acct.Inc(c.hIQ, energy.Read, 1)
-		c.acct.Inc(c.hARF, energy.Read, 2)
+		c.FUs.Issue(op.Class, now)
+		c.CountFU(op.Class)
+		c.Acct.Inc(c.hIQ, energy.Read, 1)
+		c.Acct.Inc(c.hARF, energy.Read, 2)
 
 		done := c.execute(op, now)
 		// A completion next cycle needs no wakeup: this issue already makes
 		// the current cycle non-idle, so no jump can start before it lands.
 		if done > now+1 {
-			c.wq.Wake(done)
+			c.WQ.Wake(done)
 		}
 		if op.HasDst() {
 			c.regReady[op.Dst] = done
 		}
 		if op.Class == isa.Branch {
-			c.fe.BranchResolved(op.Seq, done)
+			c.FE.BranchResolved(op.Seq, done)
 		}
-		c.emit(now, op.Seq, ptrace.KindIssue)
-		c.emit(done, op.Seq, ptrace.KindComplete)
+		c.Emit(now, op.Seq, ptrace.KindIssue)
+		c.Emit(done, op.Seq, ptrace.KindComplete)
 		c.win.pushBack(entry{op: op, done: done})
 		c.iq.popFront()
 	}
@@ -374,10 +309,10 @@ func (c *Core) execute(op *isa.MicroOp, now int64) int64 {
 		// Forward from an older in-flight store (SCB window or SB).
 		if c.forwardFromStores(op, now) {
 			c.LoadsForwarded++
-			return agu + int64(c.hier.Config().L1Latency)
+			return agu + int64(c.Hier.Config().L1Latency)
 		}
-		done, _ := c.hier.Load(op.PC, op.Addr, agu)
-		c.acct.L1Access++
+		done, _ := c.Hier.Load(op.PC, op.Addr, agu)
+		c.Acct.L1Access++
 		return done
 	case isa.Store:
 		return now + int64(op.Class.ExecLatency())
@@ -389,7 +324,7 @@ func (c *Core) execute(op *isa.MicroOp, now int64) int64 {
 // forwardFromStores searches older in-flight stores for a value match.
 // All older stores have already issued (in-order), so addresses are known.
 func (c *Core) forwardFromStores(op *isa.MicroOp, now int64) bool {
-	c.acct.Inc(c.hSB, energy.Search, 1)
+	c.Acct.Inc(c.hSB, energy.Search, 1)
 	for i := 0; i < c.win.len(); i++ {
 		if w := c.win.at(i); w.op.Class == isa.Store && w.op.Overlaps(op) {
 			return true
@@ -408,26 +343,15 @@ func (c *Core) srcsReady(op *isa.MicroOp, now int64) bool {
 	return true
 }
 
-func (c *Core) countFU(class isa.Class) {
-	switch class.FU() {
-	case isa.FUFP:
-		c.acct.FPOps++
-	case isa.FUAGU:
-		c.acct.AGUOps++
-	default:
-		c.acct.IntOps++
-	}
-}
-
 // dispatch moves decoded ops from the front end into the IQ.
 func (c *Core) dispatch() {
 	for n := 0; n < c.cfg.Width && c.iq.len() < c.cfg.IQSize; n++ {
-		op := c.fe.Pop()
+		op := c.FE.Pop()
 		if op == nil {
 			return
 		}
 		c.iq.pushBack(entry{op: op})
-		c.acct.Inc(c.hIQ, energy.Write, 1)
-		c.emit(c.now, op.Seq, ptrace.KindDispatch)
+		c.Acct.Inc(c.hIQ, energy.Write, 1)
+		c.Emit(c.Clock, op.Seq, ptrace.KindDispatch)
 	}
 }

@@ -210,7 +210,7 @@ func TestComputeBeatsPointerChase(t *testing.T) {
 
 func TestEnergyAccountingPopulated(t *testing.T) {
 	_, c := runProfile(t, "gcc", 10000)
-	a := c.acct
+	a := c.Acct
 	if a.DynamicEnergy() <= 0 || a.StaticEnergy() <= 0 {
 		t.Error("energy not accumulated")
 	}

@@ -12,5 +12,5 @@ func (c *Core) PublishMetrics(r *stats.Registry) {
 	r.Hist("occ.iq", c.OccIQ)
 	r.Hist("occ.scb", c.OccSCB)
 	r.Hist("occ.sb", c.OccSB)
-	c.cpi.Publish(r)
+	c.CPI.Publish(r)
 }

@@ -5,6 +5,7 @@ import (
 
 	"casino/internal/energy"
 	"casino/internal/mem"
+	"casino/internal/ptrace"
 	"casino/internal/workload"
 )
 
@@ -34,19 +35,22 @@ func TestPRFConservationThroughFlushes(t *testing.T) {
 	}
 }
 
-// Commit order via the OnCommit hook, through LQ-triggered mid-pipeline
-// flushes.
+// Commit order through the event bus's commit events, through
+// LQ-triggered mid-pipeline flushes.
 func TestCommitOrderThroughFlushes(t *testing.T) {
 	p, _ := workload.ByName("h264ref")
 	tr := workload.Generate(p, 15000, 1)
 	c := New(DefaultConfig(), tr, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
 	next := uint64(0)
-	c.OnCommit = func(seq uint64) {
-		if seq != next {
-			t.Fatalf("commit order: got %d want %d", seq, next)
+	c.SetPipeTrace(ptrace.NewRecorder(ptrace.SinkFunc(func(e ptrace.Event) {
+		if e.Kind != ptrace.KindCommit {
+			return
+		}
+		if e.Seq != next {
+			t.Fatalf("commit order: got %d want %d", e.Seq, next)
 		}
 		next++
-	}
+	}), ptrace.Window{}))
 	for i := 0; i < 100_000_000 && !c.Done(); i++ {
 		c.Cycle()
 	}

@@ -16,5 +16,5 @@ func (c *Core) PublishMetrics(r *stats.Registry) {
 	if c.OccLQ != nil {
 		r.Hist("occ.lq", c.OccLQ)
 	}
-	c.cpi.Publish(r)
+	c.CPI.Publish(r)
 }

@@ -16,8 +16,6 @@ import (
 
 	"casino/internal/bpred"
 	"casino/internal/energy"
-	"casino/internal/eventq"
-	"casino/internal/frontend"
 	"casino/internal/isa"
 	"casino/internal/lsu"
 	"casino/internal/mem"
@@ -57,7 +55,7 @@ func DefaultConfig() Config {
 // the SQ and, unless NoLQ, the LQ; and at least one physical register of
 // each class beyond the architectural ones, or renaming has nothing to
 // allocate. An empty structure never accepts an op, so the run would stall
-// until the cycle cap.
+// until the cycle cap. No structure may exceed pipeline.MaxEntries.
 func (c Config) Validate() error {
 	if c.Width < 1 || c.FrontDepth < 1 {
 		return fmt.Errorf("ooo: Width and FrontDepth must be positive, got %d and %d", c.Width, c.FrontDepth)
@@ -69,6 +67,10 @@ func (c Config) Validate() error {
 	if c.IntPRF <= isa.NumIntRegs || c.FPPRF <= isa.NumFPRegs {
 		return fmt.Errorf("ooo: need more than %d INT and %d FP physical registers, got %d and %d",
 			isa.NumIntRegs, isa.NumFPRegs, c.IntPRF, c.FPPRF)
+	}
+	if max(c.IQSize, c.ROBSize, c.LQSize, c.SQSize, c.IntPRF, c.FPPRF) > pipeline.MaxEntries {
+		return fmt.Errorf("ooo: IQSize, ROBSize, LQSize, SQSize, IntPRF and FPPRF must be at most %d, got %d, %d, %d, %d, %d and %d",
+			pipeline.MaxEntries, c.IQSize, c.ROBSize, c.LQSize, c.SQSize, c.IntPRF, c.FPPRF)
 	}
 	return nil
 }
@@ -117,17 +119,13 @@ type robEntry struct {
 
 // Core is the out-of-order baseline.
 type Core struct {
-	cfg  Config
-	now  int64
-	fe   *frontend.FrontEnd
-	hier *mem.Hierarchy
-	fus  *pipeline.FUPool
-	acct *energy.Accountant
-	rf   *regfile.File
-	sq   *lsu.StoreQueue
-	lq   *lsu.LoadQueue
-	ss   *lsu.StoreSets
-	wq   *eventq.Queue // shared wakeup queue (event-driven clock)
+	pipeline.Shell
+
+	cfg Config
+	rf  *regfile.File
+	sq  *lsu.StoreQueue
+	lq  *lsu.LoadQueue
+	ss  *lsu.StoreSets
 
 	rob  []robEntry // ring
 	head int
@@ -139,15 +137,6 @@ type Core struct {
 	// source producers have all issued.
 	iqMask []uint64
 	iqN    int
-
-	committed uint64
-
-	pt  *ptrace.Recorder // optional pipeline-event recorder (nil = off)
-	cpi ptrace.CPI       // per-cycle stall attribution (always on)
-
-	// OnCommit, when non-nil, observes each committed sequence number
-	// (architectural-invariant checking in tests).
-	OnCommit func(seq uint64)
 
 	hIQ, hROB, hRAT, hPRF, hLQ, hSQ, hFL, hMDP int
 
@@ -180,14 +169,11 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 		panic(err)
 	}
 	c := &Core{
-		cfg:  cfg,
-		hier: hier,
-		fus:  pipeline.ScaledFUPool(cfg.Width),
-		acct: acct,
-		rf:   regfile.New(cfg.IntPRF, cfg.FPPRF, 3),
-		sq:   lsu.NewStoreQueue(cfg.SQSize),
-		ss:   newStoreSets(cfg.SSClearInterval),
-		rob:  make([]robEntry, cfg.ROBSize),
+		cfg: cfg,
+		rf:  regfile.New(cfg.IntPRF, cfg.FPPRF, 3),
+		sq:  lsu.NewStoreQueue(cfg.SQSize),
+		ss:  newStoreSets(cfg.SSClearInterval),
+		rob: make([]robEntry, cfg.ROBSize),
 
 		OccROB: stats.NewHist(cfg.ROBSize + 1),
 		OccIQ:  stats.NewHist(cfg.IQSize + 1),
@@ -199,20 +185,10 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	}
 	c.iqMask = make([]uint64, (cfg.ROBSize+63)/64)
 	c.rf.EnableWakeup(cfg.ROBSize)
-	c.wq = eventq.New(2*(cfg.ROBSize+cfg.SQSize) + 16)
-	c.fus.SetWakeQueue(c.wq)
-	c.sq.SetWakeQueue(c.wq)
-	hier.SetWakeQueue(c.wq)
 	acct.FrontendScale = 1.4 // 9-stage pipeline vs the 7-stage InO
-	rd := tr.Reader()
-	rd.Seek(start)
-	if pred == nil {
-		pred = bpred.NewPredictor()
-	}
-	c.fe = frontend.New(
-		frontend.Config{Width: cfg.Width, Depth: cfg.FrontDepth, BufCap: 2 * cfg.Width},
-		rd, pred, hier, acct)
-	c.fe.SetWakeQueue(c.wq)
+	c.Init(c, cfg.Width, cfg.FrontDepth, 2*(cfg.ROBSize+cfg.SQSize)+16, tr, start, pred, hier, acct)
+	c.sq.SetWakeQueue(c.WQ)
+	c.ReplayHists(c.OccROB, c.OccIQ, c.OccSQ, c.OccLQ)
 
 	c.hIQ = acct.Register(energy.Structure{Name: "IQ", Entries: cfg.IQSize, Bits: 96, Ports: 2 * cfg.Width, CAM: true, TagBits: 16})
 	c.hROB = acct.Register(energy.Structure{Name: "ROB", Entries: cfg.ROBSize, Bits: 96, Ports: 2 * cfg.Width})
@@ -229,25 +205,16 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	return c
 }
 
-// Now returns the current cycle.
-func (c *Core) Now() int64 { return c.now }
-
-// Committed returns committed op count.
-func (c *Core) Committed() uint64 { return c.committed }
-
-// Mispredicts returns front-end mispredict count.
-func (c *Core) Mispredicts() uint64 { return c.fe.Mispredicts }
-
 // Done reports pipeline drain.
 func (c *Core) Done() bool {
-	return c.fe.Done() && c.n == 0 && c.sq.Len() == 0
+	return c.FE.Done() && c.n == 0 && c.sq.Len() == 0
 }
 
 // Cycle advances one clock.
 func (c *Core) Cycle() {
-	now := c.now
-	committed0, flushes0 := c.committed, c.Flushes
-	c.wq.Drain(now)
+	now := c.Clock
+	committed0, flushes0 := c.Commits, c.Flushes
+	c.WQ.Drain(now)
 	c.OccROB.Add(c.n)
 	c.OccIQ.Add(c.iqN)
 	c.OccSQ.Add(c.sq.Len())
@@ -258,39 +225,8 @@ func (c *Core) Cycle() {
 	c.commit(now)
 	c.issue(now)
 	c.dispatch(now)
-	c.fe.Cycle(now)
-	c.tickCPI(now, committed0, flushes0)
-	c.now++
-	c.acct.Cycles++
-}
-
-// SetPipeTrace installs (or removes, with nil) a pipeline-event recorder.
-func (c *Core) SetPipeTrace(rec *ptrace.Recorder) {
-	c.pt = rec
-	c.fe.SetPipeTrace(rec)
-}
-
-// CPIStack exposes the per-cycle stall attribution accumulated so far.
-func (c *Core) CPIStack() *ptrace.CPI { return &c.cpi }
-
-// Recycle returns pooled resources (the branch predictor) at end of run.
-// The core must not be cycled afterwards.
-func (c *Core) Recycle() { c.fe.RecyclePredictor() }
-
-func (c *Core) emit(cycle int64, seq uint64, k ptrace.Kind) {
-	if c.pt != nil {
-		c.pt.Emit(ptrace.Event{Cycle: cycle, Seq: seq, Kind: k})
-	}
-}
-
-// tickCPI attributes the cycle that just executed to exactly one CPI
-// bucket, publishing non-base cycles as stall events when tracing is on.
-func (c *Core) tickCPI(now int64, committed0, flushes0 uint64) {
-	b, seq := c.classifyCycle(now, committed0, flushes0)
-	c.cpi.Add(b)
-	if c.pt != nil && b != ptrace.BucketBase {
-		c.pt.Emit(ptrace.Event{Cycle: now, Seq: seq, Kind: ptrace.KindStall, Stall: b})
-	}
+	c.FE.Cycle(now)
+	c.EndCycle(c.classifyCycle(now, committed0, flushes0))
 }
 
 // classifyCycle decides the cycle's CPI bucket: base if anything
@@ -299,7 +235,7 @@ func (c *Core) tickCPI(now int64, committed0, flushes0 uint64) {
 // which ready() also calls, but not ready() itself: that clears a head
 // load's store-set wait.
 func (c *Core) classifyCycle(now int64, committed0, flushes0 uint64) (ptrace.Bucket, uint64) {
-	if c.committed > committed0 {
+	if c.Commits > committed0 {
 		return ptrace.BucketBase, 0
 	}
 	if c.Flushes > flushes0 {
@@ -321,7 +257,7 @@ func (c *Core) classifyCycle(now int64, committed0, flushes0 uint64) (ptrace.Buc
 		}
 		return ptrace.BucketFU, e.op.Seq
 	}
-	if !c.fe.Done() {
+	if !c.FE.Done() {
 		return ptrace.BucketICache, 0
 	}
 	return ptrace.BucketDrain, 0
@@ -340,8 +276,8 @@ func (c *Core) at(i int) *robEntry {
 func (c *Core) retireStores(now int64) {
 	if c.sq.HeadRetirable(now) {
 		e := c.sq.Head()
-		done := c.hier.Store(e.PC, e.Addr, now)
-		c.acct.L1Access++
+		done := c.Hier.Store(e.PC, e.Addr, now)
+		c.Acct.L1Access++
 		c.sq.StartRetire(done)
 	}
 	c.sq.PopRetired(now)
@@ -355,41 +291,38 @@ func (c *Core) commit(now int64) {
 			return
 		}
 		op := e.op
-		c.acct.Inc(c.hROB, energy.Read, 1)
+		c.Acct.Inc(c.hROB, energy.Read, 1)
 		switch op.Class {
 		case isa.Load:
 			if c.cfg.NoLQ {
 				if e.specLoad {
 					// On-commit value-check: replay the search.
 					if c.sq.ValidateLoad(op.Seq, op.Addr, op.Size, e.issueCycle) {
-						c.acct.Inc(c.hSQ, energy.Search, 1)
+						c.Acct.Inc(c.hSQ, energy.Search, 1)
 						c.violationFlush(op.Seq, now)
 						return
 					}
-					c.acct.Inc(c.hSQ, energy.Search, 1)
+					c.Acct.Inc(c.hSQ, energy.Search, 1)
 				}
 				if e.sentinel {
 					c.sq.ClearSentinel(op.Seq)
 				}
 			} else {
 				c.lq.Release(op.Seq)
-				c.acct.Inc(c.hLQ, energy.Read, 1)
+				c.Acct.Inc(c.hLQ, energy.Read, 1)
 			}
 		case isa.Store:
 			c.sq.Commit(op.Seq)
-			c.acct.Inc(c.hSQ, energy.Write, 1)
+			c.Acct.Inc(c.hSQ, energy.Write, 1)
 		}
 		if e.newP != regfile.PRegNone {
 			c.rf.Release(e.oldP)
-			c.acct.Inc(c.hFL, energy.Write, 1)
+			c.Acct.Inc(c.hFL, energy.Write, 1)
 		}
-		if c.OnCommit != nil {
-			c.OnCommit(op.Seq)
-		}
-		c.emit(now, op.Seq, ptrace.KindCommit)
+		c.Emit(now, op.Seq, ptrace.KindCommit)
 		c.head = (c.head + 1) % len(c.rob)
 		c.n--
-		c.committed++
+		c.Commits++
 	}
 }
 
@@ -434,31 +367,31 @@ func (c *Core) issueRange(now int64, lo, hi int, issued *int) bool {
 			if !c.ready(e, now) {
 				continue
 			}
-			if !c.fus.Issue(e.op.Class, now) {
+			if !c.FUs.Issue(e.op.Class, now) {
 				continue
 			}
-			c.countFU(e.op.Class)
-			c.acct.Inc(c.hIQ, energy.Read, 1)
-			c.acct.Inc(c.hPRF, energy.Read, 2)
+			c.CountFU(e.op.Class)
+			c.Acct.Inc(c.hIQ, energy.Read, 1)
+			c.Acct.Inc(c.hPRF, energy.Read, 2)
 			c.executeOp(e, now)
 			// A completion next cycle needs no wakeup: this issue already
 			// makes the current cycle non-idle, so no jump can start before
 			// it lands.
 			if e.done > now+1 {
-				c.wq.Wake(e.done)
+				c.WQ.Wake(e.done)
 			}
 			c.iqN--
 			c.iqMask[wi] &^= uint64(1) << uint(b)
 			e.issued = true
 			e.issueCycle = now
-			c.emit(now, e.op.Seq, ptrace.KindIssueSpec)
-			c.emit(e.done, e.op.Seq, ptrace.KindComplete)
+			c.Emit(now, e.op.Seq, ptrace.KindIssueSpec)
+			c.Emit(e.done, e.op.Seq, ptrace.KindComplete)
 			*issued++
 			if e.op.HasDst() {
 				// Completion broadcasts the destination tag across both
 				// source-tag columns of the IQ CAM (two match arrays).
-				c.acct.Inc(c.hIQ, energy.Search, 2)
-				c.acct.Inc(c.hPRF, energy.Write, 1)
+				c.Acct.Inc(c.hIQ, energy.Search, 2)
+				c.Acct.Inc(c.hPRF, energy.Write, 1)
 			}
 			if c.flushedThisCycle {
 				c.flushedThisCycle = false
@@ -502,7 +435,7 @@ func (c *Core) executeOp(e *robEntry, now int64) {
 	case isa.Load:
 		agu := now + lat
 		res := c.sq.SearchForLoad(op.Seq, op.Addr, op.Size, false)
-		c.acct.Inc(c.hSQ, energy.Search, 1)
+		c.Acct.Inc(c.hSQ, energy.Search, 1)
 		if res.OldestUnresolved != nil {
 			e.specLoad = true
 			c.SpecLoads++
@@ -513,37 +446,37 @@ func (c *Core) executeOp(e *robEntry, now int64) {
 		}
 		if res.Forward != nil {
 			c.LoadsForwarded++
-			e.done = agu + int64(c.hier.Config().L1Latency)
+			e.done = agu + int64(c.Hier.Config().L1Latency)
 		} else {
-			done, _ := c.hier.Load(op.PC, op.Addr, agu)
-			c.acct.L1Access++
+			done, _ := c.Hier.Load(op.PC, op.Addr, agu)
+			c.Acct.L1Access++
 			e.done = done
 		}
 		if !c.cfg.NoLQ {
 			c.lq.MarkIssued(op.Seq, op.Addr, op.Size)
-			c.acct.Inc(c.hLQ, energy.Write, 1)
+			c.Acct.Inc(c.hLQ, energy.Write, 1)
 		}
 	case isa.Store:
 		e.done = now + lat
 		c.sq.Resolve(op.Seq, op.Addr, op.Size, now+lat, now+lat)
 		c.ss.StoreIssued(op.PC, op.Seq)
-		c.acct.Inc(c.hSQ, energy.Write, 1)
-		c.acct.Inc(c.hMDP, energy.Write, 1)
+		c.Acct.Inc(c.hSQ, energy.Write, 1)
+		c.Acct.Inc(c.hMDP, energy.Write, 1)
 		if !c.cfg.NoLQ {
 			// Search the LQ for younger speculatively issued loads.
 			if loadSeq, loadPC, hit := c.lq.SearchViolation(op.Seq, op.Addr, op.Size); hit {
-				c.acct.Inc(c.hLQ, energy.Search, 1)
+				c.Acct.Inc(c.hLQ, energy.Search, 1)
 				c.ss.OnViolation(loadPC, op.PC)
-				c.acct.Inc(c.hMDP, energy.Write, 2)
+				c.Acct.Inc(c.hMDP, energy.Write, 2)
 				c.violationFlush(loadSeq, now)
 				c.flushedThisCycle = true
 				return
 			}
-			c.acct.Inc(c.hLQ, energy.Search, 1)
+			c.Acct.Inc(c.hLQ, energy.Search, 1)
 		}
 	case isa.Branch:
 		e.done = now + lat
-		c.fe.BranchResolved(op.Seq, e.done)
+		c.FE.BranchResolved(op.Seq, e.done)
 	default:
 		e.done = now + lat
 	}
@@ -552,34 +485,23 @@ func (c *Core) executeOp(e *robEntry, now int64) {
 	}
 }
 
-func (c *Core) countFU(class isa.Class) {
-	switch class.FU() {
-	case isa.FUFP:
-		c.acct.FPOps++
-	case isa.FUAGU:
-		c.acct.AGUOps++
-	default:
-		c.acct.IntOps++
-	}
-}
-
 // violationFlush squashes the load with sequence victim and everything
 // younger, restores the RAT, and refetches.
 func (c *Core) violationFlush(victim uint64, now int64) {
 	c.Violations++
 	c.Flushes++
-	c.emit(now, victim, ptrace.KindFlush)
+	c.Emit(now, victim, ptrace.KindFlush)
 	// Walk the ROB youngest-first, undoing renames down to the victim.
 	for c.n > 0 {
 		e := c.at(c.n - 1)
 		if e.op.Seq < victim {
 			break
 		}
-		c.emit(now, e.op.Seq, ptrace.KindSquash)
+		c.Emit(now, e.op.Seq, ptrace.KindSquash)
 		if e.newP != regfile.PRegNone {
 			c.rf.SetMapping(e.op.Dst, e.oldP)
 			c.rf.Release(e.newP)
-			c.acct.Inc(c.hRAT, energy.Write, 1)
+			c.Acct.Inc(c.hRAT, energy.Write, 1)
 		}
 		j := c.head + c.n - 1
 		if j >= len(c.rob) {
@@ -599,12 +521,12 @@ func (c *Core) violationFlush(victim uint64, now int64) {
 	}
 	c.sq.SquashYoungerThan(victim)
 	c.sq.ClearAllSentinels()
-	c.fe.Squash(victim, now)
+	c.FE.Squash(victim, now)
 }
 
 // canDispatch reports whether op finds a ROB entry, an IQ slot, an SQ or
 // LQ entry if it is a store or load, and a free register if it writes one.
-// dispatch and NextWake share it; it has no side effects.
+// dispatch and CanDispatch share it; it has no side effects.
 func (c *Core) canDispatch(op *isa.MicroOp) bool {
 	return c.n < len(c.rob) && c.iqN < c.cfg.IQSize &&
 		!(op.Class == isa.Store && c.sq.Full()) &&
@@ -615,11 +537,11 @@ func (c *Core) canDispatch(op *isa.MicroOp) bool {
 // dispatch renames and inserts up to Width ops into the ROB/IQ.
 func (c *Core) dispatch(now int64) {
 	for k := 0; k < c.cfg.Width; k++ {
-		op := c.fe.Peek(0)
+		op := c.FE.Peek(0)
 		if op == nil || !c.canDispatch(op) {
 			return
 		}
-		c.fe.Pop()
+		c.FE.Pop()
 		j := c.head + c.n
 		if j >= len(c.rob) {
 			j -= len(c.rob)
@@ -633,7 +555,7 @@ func (c *Core) dispatch(now int64) {
 			newP:      regfile.PRegNone,
 			oldP:      regfile.PRegNone,
 		}
-		c.acct.Inc(c.hRAT, energy.Read, 2)
+		c.Acct.Inc(c.hRAT, energy.Read, 2)
 		c.iqMask[j>>6] |= uint64(1) << uint(j&63)
 		c.rf.ResetSlot(j)
 		c.rf.WaitOn(e.srcP1, j)
@@ -645,28 +567,28 @@ func (c *Core) dispatch(now int64) {
 				panic("ooo: allocate failed after CanAllocate")
 			}
 			e.newP, e.oldP = newP, oldP
-			c.acct.Inc(c.hRAT, energy.Write, 1)
-			c.acct.Inc(c.hFL, energy.Read, 1)
+			c.Acct.Inc(c.hRAT, energy.Write, 1)
+			c.Acct.Inc(c.hFL, energy.Read, 1)
 		}
 		switch op.Class {
 		case isa.Store:
 			c.sq.Dispatch(op.Seq, op.PC)
 			c.ss.StoreDispatched(op.PC, op.Seq)
-			c.acct.Inc(c.hSQ, energy.Write, 1)
-			c.acct.Inc(c.hMDP, energy.Read, 1)
+			c.Acct.Inc(c.hSQ, energy.Write, 1)
+			c.Acct.Inc(c.hMDP, energy.Read, 1)
 		case isa.Load:
 			if c.lq != nil {
 				c.lq.Dispatch(op.Seq, op.PC)
-				c.acct.Inc(c.hLQ, energy.Write, 1)
+				c.Acct.Inc(c.hLQ, energy.Write, 1)
 			}
 			if seq, wait := c.ss.LoadDependence(op.PC); wait {
 				e.waitStore = seq
 			}
-			c.acct.Inc(c.hMDP, energy.Read, 1)
+			c.Acct.Inc(c.hMDP, energy.Read, 1)
 		}
-		c.acct.Inc(c.hROB, energy.Write, 1)
-		c.acct.Inc(c.hIQ, energy.Write, 1)
-		c.emit(now, op.Seq, ptrace.KindDispatch)
+		c.Acct.Inc(c.hROB, energy.Write, 1)
+		c.Acct.Inc(c.hIQ, energy.Write, 1)
+		c.Emit(now, op.Seq, ptrace.KindDispatch)
 		c.n++
 		c.iqN++
 	}

@@ -232,10 +232,10 @@ func TestNoLQVariantRunsAllProfiles(t *testing.T) {
 	if ipc <= 0 {
 		t.Error("NoLQ IPC not positive")
 	}
-	if c.acct.CountByName("LQ", energy.Search) != 0 {
+	if c.Acct.CountByName("LQ", energy.Search) != 0 {
 		t.Error("NoLQ config still counts LQ activity")
 	}
-	if c.acct.CountByName("SQ", energy.Search) == 0 {
+	if c.Acct.CountByName("SQ", energy.Search) == 0 {
 		t.Error("NoLQ config should search the SQ")
 	}
 }

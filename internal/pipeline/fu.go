@@ -55,7 +55,7 @@ func (p *FUPool) CanIssue(c isa.Class, now int64) bool {
 
 // NextFree returns the earliest cycle >= now at which an op of class c
 // could begin execution: now if a unit is already free, otherwise the
-// soonest busy-until time. SpecInO's sliding-window bound (slideEvent) uses
+// soonest busy-until time. SpecInO's sliding-window bound (SlideEvent) uses
 // it when an otherwise-ready op is blocked only on an occupied
 // (unpipelined) unit.
 func (p *FUPool) NextFree(c isa.Class, now int64) int64 {

@@ -166,3 +166,44 @@ func TestEventEngineJumpEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestFastForwardBailsOnBusyCycle drops the driver's gate: it offers every
+// model a 1000-cycle jump on every cycle while an identical replica steps,
+// so most offers land on cycles that do work. Such an offer must bail —
+// its embedded cycle stands as one normal cycle and nothing is skipped —
+// and an idle one may jump only as far as the stepped replica stays
+// identical. Signatures and commit counts must match after every offer. A
+// FastForward that skipped its signature check would jump across busy
+// cycles and diverge the pair at once.
+func TestFastForwardBailsOnBusyCycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	names := workload.Names()
+	for _, m := range Models() {
+		wl := names[rng.Intn(len(names))]
+		spec := Spec{Model: m, Workload: wl, Ops: 6000, Warmup: 0, Seed: rng.Int63n(1 << 30)}
+		a, b := buildPair(t, spec)
+		var bails, jumps uint64
+		const cap = 4_000_000
+		for a.Now() < cap && !a.Done() && a.Committed() < uint64(spec.Ops) {
+			before := a.Now()
+			if !a.FastForward(before + 1000) {
+				bails++
+				if a.Now() != before+1 {
+					t.Fatalf("%s/%s: a bail at cycle %d advanced the clock to %d", m, wl, before, a.Now())
+				}
+			} else if a.Now() > before+1 {
+				jumps++
+			}
+			for b.Now() < a.Now() {
+				b.Cycle()
+			}
+			if a.ProgressSignature() != b.ProgressSignature() || a.Committed() != b.Committed() {
+				t.Fatalf("%s/%s: replica diverged after the offer at cycle %d (now %d)", m, wl, before, a.Now())
+			}
+		}
+		if bails == 0 || jumps == 0 {
+			t.Errorf("%s/%s: %d bails and %d jumps; both paths must run", m, wl, bails, jumps)
+		}
+		t.Logf("%s/%s: %d bails, %d jumps", m, wl, bails, jumps)
+	}
+}

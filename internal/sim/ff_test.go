@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"casino/internal/energy"
+	"casino/internal/mem"
+)
 
 // TestFastForwardSkipsCycles asserts the acceptance criterion of the
 // event-horizon optimisation: on the default 60k-op configuration every
@@ -32,6 +37,42 @@ func TestFastForwardDeterminism(t *testing.T) {
 		on := checkEngineVsStep(t, Spec{Model: m, Workload: "milc", Ops: 12000, Warmup: 3000, Seed: 7})
 		if on.Extra["ff.skipped_cycles"] <= 0 {
 			t.Errorf("%s: fast-forward never fired; determinism check is vacuous", m)
+		}
+	}
+}
+
+// TestFastForwardAllocatesNothing offers every warm model a jump on each of
+// 500 cycles. An offer runs one real cycle and, when that cycle was idle,
+// the shell's replay; neither may allocate beyond the cycle kernel's
+// residue (cache and MSHR map growth). The signature snapshots FastForward
+// compares are the trap: one that escaped to the heap would cost two
+// allocations per offer.
+func TestFastForwardAllocatesNothing(t *testing.T) {
+	for _, m := range Models() {
+		spec := Spec{Model: m, Workload: "gcc", Ops: 60000, Seed: 1}
+		tr, err := SharedTrace(spec.Workload, spec.Ops, spec.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := build(spec, tr, 0, nil, mem.NewHierarchy(mem.DefaultConfig()), energy.NewAccountant())
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		for i := 0; i < 20_000 && !c.Done(); i++ {
+			c.Cycle()
+		}
+		const offers = 500
+		avg := testing.AllocsPerRun(5, func() {
+			for i := 0; i < offers; i++ {
+				c.FastForward(c.Now() + 1000)
+			}
+		})
+		if c.Done() {
+			t.Fatalf("%s: trace drained during measurement; lengthen the trace", m)
+		}
+		const ceiling = 0.05 // allocations per offer
+		if perOffer := avg / offers; perOffer > ceiling {
+			t.Errorf("%s: FastForward allocates %.3f times per offer, ceiling %.2f", m, perOffer, ceiling)
 		}
 	}
 }

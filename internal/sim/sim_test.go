@@ -7,6 +7,7 @@ import (
 	"casino/internal/core"
 	"casino/internal/ino"
 	"casino/internal/ooo"
+	"casino/internal/pipeline"
 	"casino/internal/slice"
 	"casino/internal/specino"
 )
@@ -98,6 +99,60 @@ func TestRunRejectsInvalidConfigs(t *testing.T) {
 				t.Errorf("%s: Run error = %v, want a validation error", name, err)
 			}
 		}()
+	}
+}
+
+// TestModelConfigRejectsOversizedStructures: a structure above
+// pipeline.MaxEntries is a validation error from Run, not a
+// multi-gigabyte allocation in a constructor. It asks modelConfig, the
+// validation Run performs before building anything, so no core is built
+// even where a bound is missing.
+func TestModelConfigRejectsOversizedStructures(t *testing.T) {
+	const huge = 1_000_000_000
+	mk := func(model string, edit func(*Spec)) Spec {
+		s := Spec{Model: model, Workload: "gcc"}
+		edit(&s)
+		return s
+	}
+	for name, s := range map[string]Spec{
+		"ooo ROBSize": mk(ModelOoO, func(s *Spec) { c := ooo.DefaultConfig(); c.ROBSize = huge; s.OoOCfg = &c }),
+		"ooo IntPRF":  mk(ModelOoO, func(s *Spec) { c := ooo.DefaultConfig(); c.IntPRF = huge; s.OoOCfg = &c }),
+		"ino IQSize":  mk(ModelInO, func(s *Spec) { c := ino.DefaultConfig(); c.IQSize = huge; s.InOCfg = &c }),
+		"ino SCBSize": mk(ModelInO, func(s *Spec) { c := ino.DefaultConfig(); c.SCBSize = huge; s.InOCfg = &c }),
+		"casino IQSize": mk(ModelCASINO, func(s *Spec) {
+			c := core.DefaultConfig()
+			c.IQSize = huge
+			s.CasinoCfg = &c
+		}),
+		"casino OSCASize": mk(ModelCASINO, func(s *Spec) {
+			c := core.DefaultConfig()
+			c.OSCASize = 1 << 40
+			s.CasinoCfg = &c
+		}),
+		"casino ROBSize one over": mk(ModelCASINO, func(s *Spec) {
+			c := core.DefaultConfig()
+			c.ROBSize = pipeline.MaxEntries + 1
+			s.CasinoCfg = &c
+		}),
+		"lsc SBSize": mk(ModelLSC, func(s *Spec) {
+			c := slice.DefaultConfig(slice.LSC)
+			c.SBSize = huge
+			s.SliceCfg = &c
+		}),
+		"lsc ISTSize": mk(ModelLSC, func(s *Spec) {
+			c := slice.DefaultConfig(slice.LSC)
+			c.ISTSize = huge
+			s.SliceCfg = &c
+		}),
+		"freeway YQSize": mk(ModelFreeway, func(s *Spec) {
+			c := slice.DefaultConfig(slice.Freeway)
+			c.YQSize = huge
+			s.SliceCfg = &c
+		}),
+	} {
+		if _, err := s.modelConfig(); err == nil {
+			t.Errorf("%s: accepted, want a validation error", name)
+		}
 	}
 }
 

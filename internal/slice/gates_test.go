@@ -17,13 +17,13 @@ func (c *Core) askEveryGate() {
 	for _, q := range [...]*entRing{&c.aq, &c.bq, &c.yq} {
 		for i := 0; i < q.len(); i++ {
 			e := q.at(i)
-			c.ready(e, c.now)
+			c.ready(e, c.Clock)
 		}
 	}
-	if op := c.fe.Peek(0); op != nil {
+	if op := c.FE.Peek(0); op != nil {
 		c.steer(op)
 	}
-	c.classifyCycle(c.now, c.committed)
+	c.classifyCycle(c.Clock, c.Commits)
 }
 
 // acctCounts appends every energy-accountant count to buf[:0].
@@ -50,7 +50,7 @@ func gateRun(t *testing.T, cfg Config, tr *trace.Trace, ask bool) map[string]flo
 			before = acctCounts(acct, before)
 			c.askEveryGate()
 			if after = acctCounts(acct, after); !slices.Equal(before, after) {
-				t.Fatalf("cycle %d: asking the scheduling gates moved accountant counts %v to %v", c.now, before, after)
+				t.Fatalf("cycle %d: asking the scheduling gates moved accountant counts %v to %v", c.Clock, before, after)
 			}
 		}
 		c.Cycle()

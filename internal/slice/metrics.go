@@ -16,5 +16,5 @@ func (c *Core) PublishMetrics(r *stats.Registry) {
 	}
 	r.Hist("occ.window", c.OccWindow)
 	r.Hist("occ.sb", c.OccSB)
-	c.cpi.Publish(r)
+	c.CPI.Publish(r)
 }

@@ -17,8 +17,6 @@ import (
 
 	"casino/internal/bpred"
 	"casino/internal/energy"
-	"casino/internal/eventq"
-	"casino/internal/frontend"
 	"casino/internal/isa"
 	"casino/internal/lsu"
 	"casino/internal/mem"
@@ -70,7 +68,8 @@ func DefaultConfig(kind Kind) Config {
 // one op wide and one stage deep, and at least one entry in the A-IQ, the
 // B-IQ, the window, the store buffer and the IST (an empty queue never
 // accepts an op, so the run would stall until the cycle cap). The Y-IQ may
-// be empty: Freeway's yielded ops then wait to enter the B-IQ.
+// be empty: Freeway's yielded ops then wait to enter the B-IQ. No
+// structure may exceed pipeline.MaxEntries.
 func (c Config) Validate() error {
 	if c.Width < 1 || c.FrontDepth < 1 {
 		return fmt.Errorf("slice: Width and FrontDepth must be positive, got %d and %d", c.Width, c.FrontDepth)
@@ -81,6 +80,10 @@ func (c Config) Validate() error {
 	}
 	if c.YQSize < 0 {
 		return fmt.Errorf("slice: YQSize %d is negative", c.YQSize)
+	}
+	if max(c.AQSize, c.BQSize, c.YQSize, c.WindowSize, c.SBSize, c.ISTSize) > pipeline.MaxEntries {
+		return fmt.Errorf("slice: AQSize, BQSize, YQSize, WindowSize, SBSize and ISTSize must be at most %d, got %d, %d, %d, %d, %d and %d",
+			pipeline.MaxEntries, c.AQSize, c.BQSize, c.YQSize, c.WindowSize, c.SBSize, c.ISTSize)
 	}
 	return nil
 }
@@ -117,14 +120,10 @@ func liveEnt(p *entry, seq uint64) *entry {
 
 // Core is a slice-out-of-order core (LSC or Freeway).
 type Core struct {
-	cfg  Config
-	now  int64
-	fe   *frontend.FrontEnd
-	hier *mem.Hierarchy
-	fus  *pipeline.FUPool
-	acct *energy.Accountant
-	sb   *lsu.StoreQueue
-	wq   *eventq.Queue // shared wakeup queue (event-driven clock)
+	pipeline.Shell
+
+	cfg Config
+	sb  *lsu.StoreQueue
 
 	aq, bq, yq entRing
 	window     entRing // program-ordered in-flight window (commit from head)
@@ -135,15 +134,6 @@ type Core struct {
 	istOrder   []uint64                // FIFO eviction for the bounded IST
 	rdt        [isa.NumArchRegs]uint64 // register dependence table: last writer PC
 	lastWriter [isa.NumArchRegs]*entry
-
-	committed uint64
-
-	pt  *ptrace.Recorder // optional pipeline-event recorder (nil = off)
-	cpi ptrace.CPI       // per-cycle stall attribution
-
-	// OnCommit, when non-nil, observes each committed sequence number
-	// (architectural-invariant checking in tests).
-	OnCommit func(seq uint64)
 
 	hAQ, hBQ, hYQ, hIST, hRDT, hSB, hSCB int
 
@@ -174,12 +164,9 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 		panic(err)
 	}
 	c := &Core{
-		cfg:  cfg,
-		hier: hier,
-		fus:  pipeline.ScaledFUPool(cfg.Width),
-		acct: acct,
-		sb:   lsu.NewStoreQueue(cfg.SBSize),
-		ist:  make(map[uint64]bool, cfg.ISTSize),
+		cfg: cfg,
+		sb:  lsu.NewStoreQueue(cfg.SBSize),
+		ist: make(map[uint64]bool, cfg.ISTSize),
 	}
 	c.aq = newEntRing(cfg.AQSize)
 	c.bq = newEntRing(cfg.BQSize)
@@ -193,19 +180,9 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	}
 	c.OccWindow = stats.NewHist(cfg.WindowSize + 1)
 	c.OccSB = stats.NewHist(cfg.SBSize + 1)
-	c.wq = eventq.New(2*(cfg.WindowSize+cfg.SBSize) + 16)
-	c.fus.SetWakeQueue(c.wq)
-	c.sb.SetWakeQueue(c.wq)
-	hier.SetWakeQueue(c.wq)
-	rd := tr.Reader()
-	rd.Seek(start)
-	if pred == nil {
-		pred = bpred.NewPredictor()
-	}
-	c.fe = frontend.New(
-		frontend.Config{Width: cfg.Width, Depth: cfg.FrontDepth, BufCap: 2 * cfg.Width},
-		rd, pred, hier, acct)
-	c.fe.SetWakeQueue(c.wq)
+	c.Init(c, cfg.Width, cfg.FrontDepth, 2*(cfg.WindowSize+cfg.SBSize)+16, tr, start, pred, hier, acct)
+	c.sb.SetWakeQueue(c.WQ)
+	c.ReplayHists(c.OccAQ, c.OccBQ, c.OccYQ, c.OccWindow, c.OccSB)
 	c.hAQ = acct.Register(energy.Structure{Name: "A-IQ", Entries: cfg.AQSize, Bits: 64, Ports: 2 * cfg.Width})
 	c.hBQ = acct.Register(energy.Structure{Name: "B-IQ", Entries: cfg.BQSize, Bits: 64, Ports: 2 * cfg.Width})
 	if cfg.Kind == Freeway {
@@ -220,18 +197,9 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	return c
 }
 
-// Now returns the current cycle.
-func (c *Core) Now() int64 { return c.now }
-
-// Committed returns committed op count.
-func (c *Core) Committed() uint64 { return c.committed }
-
-// Mispredicts returns front-end mispredict count.
-func (c *Core) Mispredicts() uint64 { return c.fe.Mispredicts }
-
 // Done reports pipeline drain.
 func (c *Core) Done() bool {
-	return c.fe.Done() && c.window.len() == 0 && c.sb.Len() == 0
+	return c.FE.Done() && c.window.len() == 0 && c.sb.Len() == 0
 }
 
 // alloc takes an entry from the freelist (or the heap) and resets it.
@@ -252,9 +220,9 @@ func (c *Core) recycle(e *entry) { c.free = append(c.free, e) }
 
 // Cycle advances one clock.
 func (c *Core) Cycle() {
-	now := c.now
-	committed0 := c.committed
-	c.wq.Drain(now)
+	now := c.Clock
+	committed0 := c.Commits
+	c.WQ.Drain(now)
 	c.OccAQ.Add(c.aq.len())
 	c.OccBQ.Add(c.bq.len())
 	if c.OccYQ != nil {
@@ -266,17 +234,15 @@ func (c *Core) Cycle() {
 	c.commit(now)
 	c.issue(now)
 	c.dispatch()
-	c.fe.Cycle(now)
-	c.tickCPI(now, committed0)
-	c.now++
-	c.acct.Cycles++
+	c.FE.Cycle(now)
+	c.EndCycle(c.classifyCycle(now, committed0))
 }
 
 func (c *Core) retireStores(now int64) {
 	if c.sb.HeadRetirable(now) {
 		e := c.sb.Head()
-		done := c.hier.Store(e.PC, e.Addr, now)
-		c.acct.L1Access++
+		done := c.Hier.Store(e.PC, e.Addr, now)
+		c.Acct.L1Access++
 		c.sb.StartRetire(done)
 	}
 	c.sb.PopRetired(now)
@@ -298,15 +264,12 @@ func (c *Core) commit(now int64) {
 			c.sb.Dispatch(op.Seq, op.PC)
 			c.sb.Resolve(op.Seq, op.Addr, op.Size, now, e.done)
 			c.sb.Commit(op.Seq)
-			c.acct.Inc(c.hSB, energy.Write, 1)
+			c.Acct.Inc(c.hSB, energy.Write, 1)
 			c.stores.popFront() // commit is in order, so e is the oldest store
 		}
-		if c.OnCommit != nil {
-			c.OnCommit(op.Seq)
-		}
-		c.emit(now, op.Seq, ptrace.KindCommit)
+		c.Emit(now, op.Seq, ptrace.KindCommit)
 		c.window.popFront()
-		c.committed++
+		c.Commits++
 		// A committed producer reads as complete either way; dropping the
 		// lastWriter reference here keeps the table pointing only at
 		// in-flight entries so the freelist can reuse this one.
@@ -331,23 +294,23 @@ func (c *Core) issue(now int64) {
 func (c *Core) issueQueue(q *entRing, handle int, now int64, slots *int) {
 	for *slots > 0 && q.len() > 0 {
 		e := q.at(0)
-		c.acct.Inc(c.hSCB, energy.Read, 1)
+		c.Acct.Inc(c.hSCB, energy.Read, 1)
 		if !c.ready(e, now) {
 			return
 		}
-		if !c.fus.Issue(e.op.Class, now) {
+		if !c.FUs.Issue(e.op.Class, now) {
 			return
 		}
 		q.popFront()
-		c.acct.Inc(handle, energy.Read, 1)
+		c.Acct.Inc(handle, energy.Read, 1)
 		c.execute(e, now)
-		if c.pt != nil {
+		if c.PT != nil {
 			k := ptrace.KindIssueSpec // B-IQ/Y-IQ run ahead of the A-IQ
 			if q == &c.aq {
 				k = ptrace.KindIssue
 			}
-			c.emit(now, e.op.Seq, k)
-			c.emit(e.done, e.op.Seq, ptrace.KindComplete)
+			c.Emit(now, e.op.Seq, k)
+			c.Emit(e.done, e.op.Seq, ptrace.KindComplete)
 		}
 		*slots--
 	}
@@ -388,7 +351,7 @@ func (c *Core) anyOlderUnresolvedStore(e *entry) bool {
 		if w.op.Seq >= e.op.Seq {
 			return false
 		}
-		if !w.issued || w.done > c.now {
+		if !w.issued || w.done > c.Clock {
 			return true
 		}
 	}
@@ -398,29 +361,29 @@ func (c *Core) anyOlderUnresolvedStore(e *entry) bool {
 func (c *Core) execute(e *entry, now int64) {
 	op := e.op
 	e.issued = true
-	c.countFU(op.Class)
+	c.CountFU(op.Class)
 	switch op.Class {
 	case isa.Load:
 		agu := now + int64(op.Class.ExecLatency())
-		c.acct.Inc(c.hSB, energy.Search, 1)
+		c.Acct.Inc(c.hSB, energy.Search, 1)
 		if c.forwardFromStores(op) {
 			c.Forwards++
-			e.done = agu + int64(c.hier.Config().L1Latency)
+			e.done = agu + int64(c.Hier.Config().L1Latency)
 		} else {
-			done, _ := c.hier.Load(op.PC, op.Addr, agu)
-			c.acct.L1Access++
+			done, _ := c.Hier.Load(op.PC, op.Addr, agu)
+			c.Acct.L1Access++
 			e.done = done
 		}
 	case isa.Branch:
 		e.done = now + int64(op.Class.ExecLatency())
-		c.fe.BranchResolved(op.Seq, e.done)
+		c.FE.BranchResolved(op.Seq, e.done)
 	default:
 		e.done = now + int64(op.Class.ExecLatency())
 	}
 	// A completion next cycle needs no wakeup: this issue already makes the
 	// current cycle non-idle, so no jump can start before the effect lands.
 	if e.done > now+1 {
-		c.wq.Wake(e.done)
+		c.WQ.Wake(e.done)
 	}
 }
 
@@ -438,31 +401,20 @@ func (c *Core) forwardFromStores(op *isa.MicroOp) bool {
 	return res.Forward != nil
 }
 
-func (c *Core) countFU(class isa.Class) {
-	switch class.FU() {
-	case isa.FUFP:
-		c.acct.FPOps++
-	case isa.FUAGU:
-		c.acct.AGUOps++
-	default:
-		c.acct.IntOps++
-	}
-}
-
 // dispatch steers decoded ops: IBDA marks backward address-generating
 // slices; marked ops and memory ops go to the B-IQ (or, in Freeway, to the
 // Y-IQ when dependent on an older slice's in-flight load), others to the
 // A-IQ.
 func (c *Core) dispatch() {
 	for k := 0; k < c.cfg.Width; k++ {
-		op := c.fe.Peek(0)
+		op := c.FE.Peek(0)
 		if op == nil {
 			return
 		}
 		if c.window.len() >= c.window.cap() {
 			return
 		}
-		c.acct.Inc(c.hIST, energy.Read, 1)
+		c.Acct.Inc(c.hIST, energy.Read, 1)
 		// Producers are captured before the entry is materialised so a
 		// capacity stall below does not consume a pooled entry. lastWriter
 		// only holds in-flight entries (commit clears it), so the captured
@@ -472,7 +424,7 @@ func (c *Core) dispatch() {
 			return
 		}
 		isSlice := target != &c.aq
-		c.fe.Pop()
+		c.FE.Pop()
 		e := c.alloc(op)
 		if p1 != nil {
 			e.prod1, e.prodSeq1 = p1, p1.op.Seq
@@ -494,15 +446,15 @@ func (c *Core) dispatch() {
 			}
 			c.lastWriter[op.Dst] = e
 			c.rdt[op.Dst] = op.PC
-			c.acct.Inc(c.hRDT, energy.Write, 1)
+			c.Acct.Inc(c.hRDT, energy.Write, 1)
 		}
 		target.pushBack(e)
 		c.window.pushBack(e)
-		c.emit(c.now, op.Seq, ptrace.KindDispatch)
+		c.Emit(c.Clock, op.Seq, ptrace.KindDispatch)
 		if op.Class == isa.Store {
 			c.stores.pushBack(e)
 		}
-		c.acct.Inc(handle, energy.Write, 1)
+		c.Acct.Inc(handle, energy.Write, 1)
 	}
 }
 
@@ -510,7 +462,7 @@ func (c *Core) dispatch() {
 // the B-IQ for memory ops and IST-marked slice ops — or, in Freeway, the
 // Y-IQ when the op depends on an older slice's in-flight load — and the
 // A-IQ otherwise. It also returns the source producers dispatch records.
-// dispatch and NextWake share it; it has no side effects.
+// dispatch and CanDispatch share it; it has no side effects.
 func (c *Core) steer(op *isa.MicroOp) (q *entRing, handle int, p1, p2 *entry) {
 	if op.Src1.Valid() {
 		p1 = c.lastWriter[op.Src1]
@@ -534,7 +486,7 @@ func (c *Core) dependsOnInFlightSliceLoad(p1, p2 *entry) bool {
 		if p == nil {
 			continue
 		}
-		if p.op.Class == isa.Load && (!p.issued || p.done > c.now) {
+		if p.op.Class == isa.Load && (!p.issued || p.done > c.Clock) {
 			return true
 		}
 	}
@@ -549,7 +501,7 @@ func (c *Core) trainIBDA(op *isa.MicroOp) {
 			continue
 		}
 		pc := c.rdt[s]
-		c.acct.Inc(c.hRDT, energy.Read, 1)
+		c.Acct.Inc(c.hRDT, energy.Read, 1)
 		if pc == 0 || c.ist[pc] {
 			continue
 		}
@@ -560,39 +512,7 @@ func (c *Core) trainIBDA(op *isa.MicroOp) {
 		}
 		c.ist[pc] = true
 		c.istOrder = append(c.istOrder, pc)
-		c.acct.Inc(c.hIST, energy.Write, 1)
-	}
-}
-
-// SetPipeTrace installs (or removes, with nil) a pipeline-event recorder.
-// The front end shares the recorder so fetch events join the same stream.
-func (c *Core) SetPipeTrace(rec *ptrace.Recorder) {
-	c.pt = rec
-	c.fe.SetPipeTrace(rec)
-}
-
-// CPIStack exposes the per-cycle stall attribution accumulated so far.
-func (c *Core) CPIStack() *ptrace.CPI { return &c.cpi }
-
-// Recycle returns pooled resources (the branch predictor) at end of run.
-// The core must not be cycled afterwards.
-func (c *Core) Recycle() { c.fe.RecyclePredictor() }
-
-func (c *Core) emit(cycle int64, seq uint64, k ptrace.Kind) {
-	if c.pt != nil {
-		c.pt.Emit(ptrace.Event{Cycle: cycle, Seq: seq, Kind: k})
-	}
-}
-
-// tickCPI attributes the cycle that just executed to exactly one CPI bucket
-// and, when a recorder is active, publishes non-base cycles as stall events
-// tagged with the culprit instruction. Classification asks the issue
-// check's own predicates, which bill nothing.
-func (c *Core) tickCPI(now int64, committed0 uint64) {
-	b, seq := c.classifyCycle(now, committed0)
-	c.cpi.Add(b)
-	if c.pt != nil && b != ptrace.BucketBase {
-		c.pt.Emit(ptrace.Event{Cycle: now, Seq: seq, Kind: ptrace.KindStall, Stall: b})
+		c.Acct.Inc(c.hIST, energy.Write, 1)
 	}
 }
 
@@ -602,7 +522,7 @@ func (c *Core) tickCPI(now int64, committed0 uint64) {
 // whichever queue holds it — queues fill and drain in program order among
 // their members — so head-of-queue reasoning applies directly.
 func (c *Core) classifyCycle(now int64, committed0 uint64) (ptrace.Bucket, uint64) {
-	if c.committed > committed0 {
+	if c.Commits > committed0 {
 		return ptrace.BucketBase, 0
 	}
 	if c.window.len() > 0 {
@@ -628,7 +548,7 @@ func (c *Core) classifyCycle(now int64, committed0 uint64) (ptrace.Bucket, uint6
 		}
 		return ptrace.BucketFU, e.op.Seq
 	}
-	if !c.fe.Done() {
+	if !c.FE.Done() {
 		return ptrace.BucketICache, 0
 	}
 	return ptrace.BucketDrain, 0

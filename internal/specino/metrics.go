@@ -10,5 +10,5 @@ func (c *Core) PublishMetrics(r *stats.Registry) {
 	r.Counter("oooIssued", c.OoOIssued)
 	r.Gauge("specFrac", c.SpecFraction())
 	r.Gauge("oooFrac", c.OoOFraction())
-	c.cpi.Publish(r)
+	c.CPI.Publish(r)
 }

@@ -13,8 +13,6 @@ import (
 
 	"casino/internal/bpred"
 	"casino/internal/energy"
-	"casino/internal/eventq"
-	"casino/internal/frontend"
 	"casino/internal/isa"
 	"casino/internal/mem"
 	"casino/internal/pipeline"
@@ -64,13 +62,9 @@ func (c Config) Validate() error {
 // (a committed producer is always ready — its completion preceded its
 // commit cycle).
 type Core struct {
-	cfg  Config
-	now  int64
-	fe   *frontend.FrontEnd
-	hier *mem.Hierarchy
-	fus  *pipeline.FUPool
-	acct *energy.Accountant
-	wq   *eventq.Queue // shared wakeup queue (event-driven clock)
+	pipeline.Shell
+
+	cfg Config
 
 	n       int
 	ops     []*isa.MicroOp
@@ -98,15 +92,6 @@ type Core struct {
 	wDseq []int64 // waiting consumer's dseq
 	wFree int32
 
-	committed uint64
-
-	pt  *ptrace.Recorder // optional pipeline-event recorder (nil = off)
-	cpi ptrace.CPI       // per-cycle stall attribution
-
-	// OnCommit, when non-nil, observes each committed sequence number
-	// (architectural-invariant checking in tests).
-	OnCommit func(seq uint64)
-
 	// Statistics.
 	SpecIssued uint64 // issued by the sliding window
 	HeadIssued uint64 // issued by the in-order head engine
@@ -126,7 +111,7 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Core{cfg: cfg, hier: hier, fus: pipeline.ScaledFUPool(cfg.Width), acct: acct}
+	c := &Core{cfg: cfg}
 	q := cfg.IQSize
 	c.ops = make([]*isa.MicroOp, q)
 	c.done = make([]int64, q)
@@ -140,29 +125,12 @@ func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *
 	for i := range c.lastWriter {
 		c.lastWriter[i] = -1
 	}
-	c.wq = eventq.New(2*cfg.IQSize + 16)
-	c.fus.SetWakeQueue(c.wq)
-	hier.SetWakeQueue(c.wq)
-	rd := tr.Reader()
-	rd.Seek(start)
-	if pred == nil {
-		pred = bpred.NewPredictor()
-	}
-	c.fe = frontend.New(
-		frontend.Config{Width: cfg.Width, Depth: cfg.FrontDepth, BufCap: 2 * cfg.Width},
-		rd, pred, hier, acct)
-	c.fe.SetWakeQueue(c.wq)
+	c.Init(c, cfg.Width, cfg.FrontDepth, 2*cfg.IQSize+16, tr, start, pred, hier, acct)
 	return c
 }
 
-// Now returns the current cycle.
-func (c *Core) Now() int64 { return c.now }
-
-// Committed returns committed op count.
-func (c *Core) Committed() uint64 { return c.committed }
-
 // Done reports pipeline drain.
-func (c *Core) Done() bool { return c.fe.Done() && c.n == 0 }
+func (c *Core) Done() bool { return c.FE.Done() && c.n == 0 }
 
 // SpecFraction returns the fraction of instructions issued by the sliding
 // window itself.
@@ -188,16 +156,14 @@ func (c *Core) OoOFraction() float64 {
 
 // Cycle advances one clock.
 func (c *Core) Cycle() {
-	now := c.now
-	committed0 := c.committed
-	c.wq.Drain(now)
+	now := c.Clock
+	committed0 := c.Commits
+	c.WQ.Drain(now)
 	c.commit(now)
 	c.issue(now)
 	c.dispatch()
-	c.fe.Cycle(now)
-	c.tickCPI(now, committed0)
-	c.now++
-	c.acct.Cycles++
+	c.FE.Cycle(now)
+	c.EndCycle(c.classifyCycle(now, committed0))
 }
 
 // commit drains completed instructions in order from the IQ head, then
@@ -213,15 +179,12 @@ func (c *Core) commit(now int64) {
 			// Perfect store buffering: retire directly (timing charged at
 			// issue; the limit study has no SB stalls). In-order commit
 			// makes the committing store the store ring's head.
-			c.hier.Store(op.PC, op.Addr, now)
-			c.acct.L1Access++
+			c.Hier.Store(op.PC, op.Addr, now)
+			c.Acct.L1Access++
 			c.popStore()
 		}
-		if c.OnCommit != nil {
-			c.OnCommit(op.Seq)
-		}
-		c.emit(now, op.Seq, ptrace.KindCommit)
-		c.committed++
+		c.Emit(now, op.Seq, ptrace.KindCommit)
+		c.Commits++
 		k++
 	}
 	if k > 0 {
@@ -267,16 +230,16 @@ func (c *Core) issue(now int64) {
 		}
 		j := idx + bits.TrailingZeros64(m)
 		idx = j
-		if !c.readyIdx(j, now) || !c.fus.Issue(c.ops[j].Class, now) {
+		if !c.readyIdx(j, now) || !c.FUs.Issue(c.ops[j].Class, now) {
 			break
 		}
 		if c.unissued&((uint64(1)<<uint(j))-1) != 0 {
 			c.OoOIssued++
 		}
 		c.execute(j, now)
-		if c.pt != nil {
-			c.emit(now, c.ops[j].Seq, ptrace.KindIssue)
-			c.emit(c.done[j], c.ops[j].Seq, ptrace.KindComplete)
+		if c.PT != nil {
+			c.Emit(now, c.ops[j].Seq, ptrace.KindIssue)
+			c.Emit(c.done[j], c.ops[j].Seq, ptrace.KindComplete)
 		}
 		c.HeadIssued++
 		slots--
@@ -298,16 +261,16 @@ func (c *Core) issue(now int64) {
 		if c.cfg.NonMemOnly && c.ops[p].Class.IsMem() {
 			continue
 		}
-		if !c.readyIdx(p, now) || !c.fus.Issue(c.ops[p].Class, now) {
+		if !c.readyIdx(p, now) || !c.FUs.Issue(c.ops[p].Class, now) {
 			continue
 		}
 		if c.unissued&((uint64(1)<<uint(p))-1) != 0 {
 			c.OoOIssued++
 		}
 		c.execute(p, now)
-		if c.pt != nil {
-			c.emit(now, c.ops[p].Seq, ptrace.KindIssueSpec)
-			c.emit(c.done[p], c.ops[p].Seq, ptrace.KindComplete)
+		if c.PT != nil {
+			c.Emit(now, c.ops[p].Seq, ptrace.KindIssueSpec)
+			c.Emit(c.done[p], c.ops[p].Seq, ptrace.KindComplete)
 		}
 		c.SpecIssued++
 		issuedFromWindow = true
@@ -340,14 +303,14 @@ func (c *Core) execute(i int, now int64) {
 	case isa.Load:
 		agu := now + int64(op.Class.ExecLatency())
 		if c.stf[i] >= 0 {
-			done = agu + int64(c.hier.Config().L1Latency) // forwarded
+			done = agu + int64(c.Hier.Config().L1Latency) // forwarded
 		} else {
-			done, _ = c.hier.Load(op.PC, op.Addr, agu)
-			c.acct.L1Access++
+			done, _ = c.Hier.Load(op.PC, op.Addr, agu)
+			c.Acct.L1Access++
 		}
 	case isa.Branch:
 		done = now + int64(op.Class.ExecLatency())
-		c.fe.BranchResolved(op.Seq, done)
+		c.FE.BranchResolved(op.Seq, done)
 	default:
 		done = now + int64(op.Class.ExecLatency())
 	}
@@ -356,7 +319,7 @@ func (c *Core) execute(i int, now int64) {
 	// A completion next cycle needs no wakeup: this issue already makes the
 	// current cycle non-idle, so no jump can start before the effect lands.
 	if done > now+1 {
-		c.wq.Wake(done)
+		c.WQ.Wake(done)
 	}
 }
 
@@ -414,7 +377,7 @@ func (c *Core) allocNode() int32 {
 
 func (c *Core) dispatch() {
 	for k := 0; k < c.cfg.Width && c.n < c.cfg.IQSize; k++ {
-		op := c.fe.Pop()
+		op := c.FE.Pop()
 		if op == nil {
 			return
 		}
@@ -451,7 +414,7 @@ func (c *Core) dispatch() {
 			c.pushStore(c.headDseq+int64(i), op)
 		}
 		c.n++
-		c.emit(c.now, op.Seq, ptrace.KindDispatch)
+		c.Emit(c.Clock, op.Seq, ptrace.KindDispatch)
 	}
 }
 
@@ -481,37 +444,6 @@ func (c *Core) popStore() {
 	c.stLen--
 }
 
-// SetPipeTrace installs (or removes, with nil) a pipeline-event recorder.
-// The front end shares the recorder so fetch events join the same stream.
-func (c *Core) SetPipeTrace(rec *ptrace.Recorder) {
-	c.pt = rec
-	c.fe.SetPipeTrace(rec)
-}
-
-// CPIStack exposes the per-cycle stall attribution accumulated so far.
-func (c *Core) CPIStack() *ptrace.CPI { return &c.cpi }
-
-// Recycle returns pooled resources (the branch predictor) at end of run.
-// The core must not be cycled afterwards.
-func (c *Core) Recycle() { c.fe.RecyclePredictor() }
-
-func (c *Core) emit(cycle int64, seq uint64, k ptrace.Kind) {
-	if c.pt != nil {
-		c.pt.Emit(ptrace.Event{Cycle: cycle, Seq: seq, Kind: k})
-	}
-}
-
-// tickCPI attributes the cycle that just executed to exactly one CPI bucket
-// and, when a recorder is active, publishes non-base cycles as stall events
-// tagged with the culprit instruction.
-func (c *Core) tickCPI(now int64, committed0 uint64) {
-	b, seq := c.classifyCycle(now, committed0)
-	c.cpi.Add(b)
-	if c.pt != nil && b != ptrace.BucketBase {
-		c.pt.Emit(ptrace.Event{Cycle: now, Seq: seq, Kind: ptrace.KindStall, Stall: b})
-	}
-}
-
 // stfBlocked reports whether entry i's forwarding store is still holding it
 // back: unissued, or issued but not complete. A committed store (dseq below
 // headDseq) finished at or before its commit cycle, so it never blocks.
@@ -529,7 +461,7 @@ func (c *Core) stfBlocked(i int, now int64) bool {
 // The limit study has perfect renaming and store buffering, so the only
 // possible blockers are execution latency, dataflow, and the front end.
 func (c *Core) classifyCycle(now int64, committed0 uint64) (ptrace.Bucket, uint64) {
-	if c.committed > committed0 {
+	if c.Commits > committed0 {
 		return ptrace.BucketBase, 0
 	}
 	if c.n > 0 {
@@ -551,7 +483,7 @@ func (c *Core) classifyCycle(now int64, committed0 uint64) (ptrace.Bucket, uint6
 		}
 		return ptrace.BucketFU, op.Seq
 	}
-	if !c.fe.Done() {
+	if !c.FE.Done() {
 		return ptrace.BucketICache, 0
 	}
 	return ptrace.BucketDrain, 0

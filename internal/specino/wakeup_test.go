@@ -41,7 +41,7 @@ func TestWakeupMatchesScan(t *testing.T) {
 						continue
 					}
 					op := c.ops[i]
-					blocked, r := false, c.now
+					blocked, r := false, c.Clock
 					dep := func(j int) {
 						switch {
 						case j < 0:
@@ -66,9 +66,9 @@ func TestWakeupMatchesScan(t *testing.T) {
 						}
 						dep(j)
 					}
-					if got := max(c.readyT[i], c.now); (c.pending[i] == 0) == blocked || got != r {
+					if got := max(c.readyT[i], c.Clock); (c.pending[i] == 0) == blocked || got != r {
 						t.Fatalf("[%d,%d] nonmem=%v %s cycle %d: seq %d pending=%d ready at %d, scan says blocked=%v ready at %d",
-							cfg.WS, cfg.SO, cfg.NonMemOnly, name, c.now-1, op.Seq, c.pending[i], got, blocked, r)
+							cfg.WS, cfg.SO, cfg.NonMemOnly, name, c.Clock-1, op.Seq, c.pending[i], got, blocked, r)
 					}
 				}
 			}

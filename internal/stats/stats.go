@@ -55,6 +55,7 @@ type Hist struct {
 	overflow uint64
 	count    uint64
 	sum      float64
+	last     int // the value Add recorded last, after clamping
 }
 
 // NewHist creates a histogram with buckets for values 0..max-1; larger
@@ -71,6 +72,7 @@ func (h *Hist) Add(v int) {
 	if v < 0 {
 		v = 0
 	}
+	h.last = v
 	if v < len(h.buckets) {
 		h.buckets[v]++
 	} else {
@@ -80,21 +82,20 @@ func (h *Hist) Add(v int) {
 	h.sum += float64(v)
 }
 
-// AddN records n observations of v as one weighted sample — exactly
-// equivalent to calling Add(v) n times. It exists for clock fast-forwarding:
-// when a core skips k provably idle cycles, the occupancy it would have
-// sampled on each of them is the same frozen value, so the model records one
-// sample with weight k instead of looping. Callers must pass the weight for
-// every skipped cycle; dropping it would silently under-sample the histogram
-// (Count no longer equals simulated cycles) and skew Mean toward busy
-// cycles.
-func (h *Hist) AddN(v int, n uint64) {
-	if n == 0 {
+// Repeat records n more observations of the last value Add recorded —
+// exactly equivalent to calling Add with that value n times; it does
+// nothing on an empty histogram. It exists for clock fast-forwarding: when
+// a core skips k provably idle cycles, the occupancy it would have sampled
+// on each of them is the frozen value its embedded cycle just sampled, so
+// the model records that sample k more times without looping. Callers must
+// pass the weight for every skipped cycle; dropping it would silently
+// under-sample the histogram (Count no longer equals simulated cycles) and
+// skew Mean toward busy cycles.
+func (h *Hist) Repeat(n uint64) {
+	if h.count == 0 {
 		return
 	}
-	if v < 0 {
-		v = 0
-	}
+	v := h.last
 	if v < len(h.buckets) {
 		h.buckets[v] += n
 	} else {

@@ -126,22 +126,28 @@ func TestTableSort(t *testing.T) {
 	tb.SortRowsBy(99) // out of range: no-op, must not panic
 }
 
-// TestHistAddNEquivalence pins the weighted-sample contract: AddN(v, n) is
-// observationally identical to calling Add(v) n times, across in-range,
-// clamped-negative and overflow values. Fast-forwarded occupancy sampling
-// relies on this equivalence for bit-identical results.
-func TestHistAddNEquivalence(t *testing.T) {
+// TestHistRepeatEquivalence pins the repeated-sample contract: Add(v)
+// followed by Repeat(n) is observationally identical to calling Add(v)
+// n+1 times, across in-range, clamped-negative and overflow values, and
+// Repeat on an empty histogram records nothing. Fast-forwarded occupancy
+// sampling relies on this equivalence for bit-identical results.
+func TestHistRepeatEquivalence(t *testing.T) {
 	loop := NewHist(4)
 	bulk := NewHist(4)
+	bulk.Repeat(5)
+	if bulk.Count() != 0 {
+		t.Fatalf("Repeat on an empty histogram recorded %d samples", bulk.Count())
+	}
 	cases := []struct {
 		v int
 		n uint64
 	}{{0, 3}, {2, 5}, {-1, 2}, {7, 4}, {3, 1}, {2, 0}}
 	for _, c := range cases {
-		for i := uint64(0); i < c.n; i++ {
+		for i := uint64(0); i <= c.n; i++ {
 			loop.Add(c.v)
 		}
-		bulk.AddN(c.v, c.n)
+		bulk.Add(c.v)
+		bulk.Repeat(c.n)
 	}
 	if loop.Count() != bulk.Count() {
 		t.Errorf("count: loop %d bulk %d", loop.Count(), bulk.Count())
@@ -157,8 +163,8 @@ func TestHistAddNEquivalence(t *testing.T) {
 	if loop.Overflow() != bulk.Overflow() {
 		t.Errorf("overflow: loop %d bulk %d", loop.Overflow(), bulk.Overflow())
 	}
-	if bulk.Count() != 15 {
-		t.Errorf("total weighted count = %d, want 15", bulk.Count())
+	if bulk.Count() != 21 {
+		t.Errorf("total count = %d, want 21", bulk.Count())
 	}
 }
 
