@@ -362,37 +362,70 @@ func (e *Engine) runJob(job *Job) {
 	job.mu.Unlock()
 }
 
-// runPhase shards one phase's cells across the pool through the result
-// cache and returns their results in cell order.
+// runPhase runs one phase's cells through the result cache and returns
+// their results in cell order. The job goroutine answers every cell whose
+// result is already cached; only the rest go to the worker pool, where a
+// cell another job is computing joins that computation. Both paths count
+// each cell the same way: its wall time, its hit and its completion.
 func (e *Engine) runPhase(job *Job, cells []Cell, traceFPs map[string]uint64) ([]sim.Result, error) {
+	results := make([]sim.Result, len(cells))
+	keys := make([]string, len(cells))
+	var misses []int
+	for i, c := range cells {
+		keys[i] = c.CacheKey(traceFPs[c.Workload])
+		start := time.Now()
+		res, ok := e.cache.Peek(keys[i])
+		if !ok {
+			misses = append(misses, i)
+			continue
+		}
+		results[i] = res
+		ms := msSince(start)
+		e.met.cellMs.Observe(ms)
+		e.cellDone(job, ms, true)
+	}
+	if len(misses) == 0 {
+		return results, nil
+	}
 	cellMs := make([]float64, len(cells))
+	hits := make([]bool, len(cells))
 	runFn := func(sc sim.Cell) (sim.Result, error) {
 		e.met.workersBusy.Add(1)
 		defer e.met.workersBusy.Add(-1)
-		c := cells[sc.Index]
-		cellStart := time.Now()
-		res, hit, err := e.cache.Do(c.CacheKey(traceFPs[c.Workload]), func() (sim.Result, error) {
+		start := time.Now()
+		res, hit, err := e.cache.Do(keys[sc.Index], func() (sim.Result, error) {
 			return sim.Run(sc.Spec)
 		})
-		ms := float64(time.Since(cellStart)) / float64(time.Millisecond)
-		cellMs[sc.Index] = ms // safe: one writer per index, read after completion
+		ms := msSince(start)
+		// Safe: one writer per index, read by onCell after it returns.
+		cellMs[sc.Index], hits[sc.Index] = ms, hit
 		e.met.cellMs.Observe(ms)
-		if hit {
-			job.mu.Lock()
-			job.hits++
-			job.mu.Unlock()
-		} else if err == nil {
+		if !hit && err == nil {
 			e.met.addCellCounters(res)
 		}
 		return res, err
 	}
 	onCell := func(r sim.CellResult) {
-		e.met.cellsDone.Add(1)
-		job.mu.Lock()
-		job.done++
-		job.observeCellLocked(cellMs[r.Cell.Index])
-		job.publishLocked(time.Now())
-		job.mu.Unlock()
+		e.cellDone(job, cellMs[r.Cell.Index], hits[r.Cell.Index])
 	}
-	return runCells(cells, e.workers, runFn, onCell)
+	return results, runCells(cells, misses, results, e.workers, runFn, onCell)
+}
+
+// cellDone counts one completed cell: the service total, and the job's
+// hits, progress and cell-time EWMA, published to its subscribers.
+func (e *Engine) cellDone(job *Job, ms float64, hit bool) {
+	e.met.cellsDone.Add(1)
+	job.mu.Lock()
+	if hit {
+		job.hits++
+	}
+	job.done++
+	job.observeCellLocked(ms)
+	job.publishLocked(time.Now())
+	job.mu.Unlock()
+}
+
+// msSince is the wall time since start in milliseconds.
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
 }

@@ -45,7 +45,8 @@ func RunGridStats(g Grid, workers int, onCell func(done, total int)) (*manifest.
 	var stats SweepStats
 	m, points, err := runSweep(cells, g.Sampling != nil,
 		func(phase []Cell, _ map[string]uint64) ([]sim.Result, error) {
-			return runCells(phase, workers, nil, observe)
+			results := make([]sim.Result, len(phase))
+			return results, runCells(phase, nil, results, workers, nil, observe)
 		},
 		func(promoted int) {
 			stats = SweepStats{SampledCells: len(cells), PromotedCells: promoted}
@@ -117,24 +118,33 @@ func traceFingerprints(cells []Cell) (map[string]uint64, error) {
 	return fps, nil
 }
 
-// runCells runs one phase's cells through the sharded cell runner (runFn
-// nil runs sim.Run) and collects their results in cell order.
-func runCells(cells []Cell, workers int, runFn func(sim.Cell) (sim.Result, error), onCell func(sim.CellResult)) ([]sim.Result, error) {
-	simCells := make([]sim.Cell, len(cells))
-	for i, c := range cells {
+// runCells runs cells[i] for each i in idx (every cell when idx is nil)
+// through the sharded cell runner (runFn nil runs sim.Run) and stores its
+// result in results[i]. The runner sees each cell under its index in
+// cells, so runFn, onCell and a failed cell's error name it by its
+// position in the phase.
+func runCells(cells []Cell, idx []int, results []sim.Result, workers int, runFn func(sim.Cell) (sim.Result, error), onCell func(sim.CellResult)) error {
+	if idx == nil {
+		idx = make([]int, len(cells))
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	simCells := make([]sim.Cell, len(idx))
+	for k, i := range idx {
+		c := cells[i]
 		spec, err := c.Spec()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		simCells[i] = sim.Cell{App: c.Workload, Model: c.Model, Index: i, Spec: spec}
+		simCells[k] = sim.Cell{App: c.Workload, Model: c.Model, Index: i, Spec: spec}
 	}
 	cellResults := sim.RunCells(simCells, workers, runFn, onCell)
 	if err := sim.JoinCellErrors(cellResults); err != nil {
-		return nil, err
+		return err
 	}
-	results := make([]sim.Result, len(cellResults))
-	for i, r := range cellResults {
-		results[i] = r.Result
+	for _, r := range cellResults {
+		results[r.Cell.Index] = r.Result
 	}
-	return results, nil
+	return nil
 }

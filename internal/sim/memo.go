@@ -78,6 +78,25 @@ func (m *Memo[K, V]) Do(key K, compute func() (V, error)) (v V, hit bool, err er
 	return e.v, false, e.err
 }
 
+// Peek returns key's value without waiting for it: ok is true only when a
+// computation of key has completed successfully. Such a Peek counts a hit
+// and refreshes the key's LRU position exactly as Do does. An absent,
+// in-flight or failed key returns false and counts nothing (a failed
+// computation leaves the map before it completes), so a caller can fall
+// through to Do, which joins an in-flight computation.
+func (m *Memo[K, V]) Peek(key K) (v V, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, found := m.entries[key]
+	if !found || !e.completed() {
+		return v, false
+	}
+	m.tick++
+	e.lastUse = m.tick
+	m.hits++
+	return e.v, true
+}
+
 // evictLocked drops the least-recently-used *completed* entries until the
 // memo has room for one more. In-flight computations are never evicted:
 // their waiters hold the entry pointer.

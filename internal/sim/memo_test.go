@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Memo's singleflight: a request for a key whose computation is in flight
@@ -107,5 +108,77 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 	}
 	if entries, _, _ := m.Stats(); entries != 1 {
 		t.Errorf("entries = %d, want 1 (LRU bound)", entries)
+	}
+}
+
+// Peek answers only a completed computation, and then counts a hit and
+// refreshes the key's LRU position exactly as Do does, so a memo touched
+// by Peek evicts what a memo touched by Do evicts. An absent, failed or
+// in-flight key returns false at once and counts nothing.
+func TestMemoPeek(t *testing.T) {
+	val := func(v int) func() (int, error) { return func() (int, error) { return v, nil } }
+	for _, touch := range []string{"Peek", "Do"} {
+		m := NewMemo[string, int](2)
+		m.Do("a", val(1))
+		m.Do("b", val(2))
+		if touch == "Peek" {
+			if v, ok := m.Peek("a"); !ok || v != 1 {
+				t.Fatalf("Peek of a completed key = %d, %v; want 1, true", v, ok)
+			}
+		} else if v, hit, _ := m.Do("a", val(-1)); !hit || v != 1 {
+			t.Fatalf("Do of a completed key = %d, hit %v; want 1, hit", v, hit)
+		}
+		m.Do("c", val(3)) // evicts the least recently used: b
+		if _, ok := m.Peek("b"); ok {
+			t.Errorf("touched by %s: b survived the eviction of the LRU entry", touch)
+		}
+		if v, ok := m.Peek("a"); !ok || v != 1 {
+			t.Errorf("touched by %s: a was evicted (Peek = %d, %v)", touch, v, ok)
+		}
+		if entries, hits, misses := m.Stats(); entries != 2 || hits != 2 || misses != 3 {
+			t.Errorf("touched by %s: entries, hits, misses = %d, %d, %d; want 2, 2, 3", touch, entries, hits, misses)
+		}
+	}
+
+	m := NewMemo[string, int](4)
+	if _, _, err := m.Do("bad", func() (int, error) { return 0, errors.New("boom") }); err == nil {
+		t.Fatal("failed computation returned no error")
+	}
+	for _, key := range []string{"absent", "bad"} {
+		if v, ok := m.Peek(key); ok {
+			t.Errorf("Peek(%q) = %d, true; want false", key, v)
+		}
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			return 7, nil
+		})
+	}()
+	<-started
+	peeked := make(chan bool)
+	go func() {
+		_, ok := m.Peek("k")
+		peeked <- ok
+	}()
+	select {
+	case ok := <-peeked:
+		if ok {
+			t.Error("Peek of an in-flight key returned a value")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Peek blocked on an in-flight key")
+	}
+	close(release)
+	<-done
+	if _, hits, misses := m.Stats(); hits != 0 || misses != 2 {
+		t.Errorf("hits, misses = %d, %d; want 0, 2 (Peek of an absent, failed or in-flight key counts nothing)", hits, misses)
+	}
+	if v, ok := m.Peek("k"); !ok || v != 7 {
+		t.Errorf("Peek after completion = %d, %v; want 7, true", v, ok)
 	}
 }
