@@ -138,3 +138,44 @@ func TestCompareSpecMismatchShortCircuits(t *testing.T) {
 		t.Fatalf("diffs = %v, want only the spec diff", diffs)
 	}
 }
+
+// sweepManifest is a one-cell sweep manifest.
+func sweepManifest(app, cellKey string, metric string, v float64) *Manifest {
+	m := New("sweep")
+	m.Kind = KindSweep
+	m.Ops, m.Warmup, m.Seed = 20000, 5000, 1
+	m.Apps = []string{app}
+	m.Workloads[app] = "00000000deadbeef"
+	m.Metrics[metric] = v
+	m.Cells = []Cell{{Key: cellKey, Model: "casino", Workload: app,
+		SpecFP: "0000000000000001", TraceFP: "00000000deadbeef"}}
+	return m
+}
+
+func TestCompareChecksCells(t *testing.T) {
+	golden := sweepManifest("mcf", "mcf/casino[ws2,so1]", "cell.mcf/casino[ws2,so1].ipc", 1.25)
+
+	// Identical manifests: no diffs.
+	same := sweepManifest("mcf", "mcf/casino[ws2,so1]", "cell.mcf/casino[ws2,so1].ipc", 1.25)
+	if diffs := Compare(golden, same, CompareOptions{}); len(diffs) != 0 {
+		t.Fatalf("identical sweep manifests diff: %v", diffs)
+	}
+
+	// Same metrics but a cell's spec fingerprint moved: must be flagged.
+	drifted := sweepManifest("mcf", "mcf/casino[ws2,so1]", "cell.mcf/casino[ws2,so1].ipc", 1.25)
+	drifted.Cells[0].SpecFP = "000000000000beef"
+	diffs := Compare(golden, drifted, CompareOptions{})
+	if len(diffs) != 1 || diffs[0].Kind != DiffFingerprint {
+		t.Fatalf("cell fingerprint drift not flagged: %v", diffs)
+	}
+
+	// Candidate carries an extra cell: flagged even with AllowExtra (extra
+	// cells mean a different sweep, not new instrumentation).
+	extra := sweepManifest("mcf", "mcf/casino[ws2,so1]", "cell.mcf/casino[ws2,so1].ipc", 1.25)
+	extra.Cells = append(extra.Cells, Cell{Key: "mcf/ino", Model: "ino", Workload: "mcf",
+		SpecFP: "0000000000000002", TraceFP: "00000000deadbeef"})
+	diffs = Compare(golden, extra, CompareOptions{AllowExtra: true})
+	if len(diffs) != 1 || !strings.Contains(diffs[0].Metric, "mcf/ino") {
+		t.Fatalf("extra cell not flagged: %v", diffs)
+	}
+}
