@@ -11,7 +11,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 )
 
 // Version is the manifest schema version. Decode rejects any other value:
@@ -126,11 +128,131 @@ func Decode(r io.Reader) (*Manifest, error) {
 }
 
 // Encode writes the manifest as indented JSON (sorted keys, trailing
-// newline) so checked-in goldens diff cleanly.
+// newline) so checked-in goldens diff cleanly. The bytes are those of an
+// encoding/json Encoder with a two-space indent, written in one pass: the
+// fields in declaration order, map keys sorted, and floats, integers and
+// strings formatted as encoding/json formats them.
 func (m *Manifest) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
+	if !m.finite() {
+		// encoding/json rejects NaN and ±Inf with an *UnsupportedValueError.
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	}
+	_, err := w.Write(m.appendIndented(make([]byte, 0, 512+64*len(m.Metrics)+256*len(m.Cells))))
+	return err
+}
+
+// finite reports whether every float of the manifest has a JSON form.
+func (m *Manifest) finite() bool {
+	if math.IsNaN(m.WallSeconds) || math.IsInf(m.WallSeconds, 0) {
+		return false
+	}
+	for _, v := range m.Metrics {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendIndented appends Encode's bytes for a finite manifest to b.
+func (m *Manifest) appendIndented(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "{\n  \"version\": "...), int64(m.Version), 10)
+	b = appendString(append(b, ",\n  \"kind\": "...), m.Kind)
+	b = appendString(append(b, ",\n  \"figure\": "...), m.Figure)
+	b = strconv.AppendInt(append(b, ",\n  \"ops\": "...), int64(m.Ops), 10)
+	b = strconv.AppendInt(append(b, ",\n  \"warmup\": "...), int64(m.Warmup), 10)
+	b = strconv.AppendInt(append(b, ",\n  \"seed\": "...), m.Seed, 10)
+
+	b = append(b, ",\n  \"apps\": "...)
+	switch {
+	case m.Apps == nil:
+		b = append(b, "null"...)
+	case len(m.Apps) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i, app := range m.Apps {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(append(b, "\n    "...), app)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	b = appendObject(append(b, ",\n  \"workload_fingerprints\": "...), m.Workloads, appendString)
+	b = appendObject(append(b, ",\n  \"metrics\": "...), m.Metrics, appendFloat)
+
+	if len(m.Cells) > 0 {
+		b = append(b, ",\n  \"cells\": ["...)
+		for i, c := range m.Cells {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(append(b, "\n    {\n      \"key\": "...), c.Key)
+			b = appendString(append(b, ",\n      \"model\": "...), c.Model)
+			b = appendString(append(b, ",\n      \"workload\": "...), c.Workload)
+			b = appendString(append(b, ",\n      \"spec_fingerprint\": "...), c.SpecFP)
+			b = appendString(append(b, ",\n      \"trace_fingerprint\": "...), c.TraceFP)
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+
+	b = appendFloat(append(b, ",\n  \"wall_seconds\": "...), m.WallSeconds)
+	b = strconv.AppendUint(append(b, ",\n  \"alloc_bytes\": "...), m.AllocBytes, 10)
+	b = appendString(append(b, ",\n  \"go_version\": "...), m.GoVersion)
+	return append(b, "\n}\n"...)
+}
+
+// appendObject appends a map as an indented JSON object one level below
+// the top, keys sorted.
+func appendObject[V any](b []byte, obj map[string]V, appendValue func([]byte, V) []byte) []byte {
+	switch {
+	case obj == nil:
+		return append(b, "null"...)
+	case len(obj) == 0:
+		return append(b, "{}"...)
+	}
+	b = append(b, '{')
+	for i, k := range sortedKeys(obj) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(append(b, "\n    "...), k)
+		b = appendValue(append(b, ": "...), obj[k])
+	}
+	return append(b, "\n  }"...)
+}
+
+// appendFloat formats a finite float as encoding/json does: the shortest
+// 'f' form, or, when |f| < 1e-6 or |f| >= 1e21, the shortest 'e' form
+// with a negative exponent's leading zero dropped (1e-07 becomes 1e-7).
+func appendFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
+}
+
+// appendString appends s as a JSON string. Printable ASCII without a
+// quote, backslash or HTML-special character is written as is; any other
+// string takes encoding/json's escaping (HTML-safe, invalid UTF-8 as
+// U+FFFD).
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // ReadFile loads a manifest from path.
